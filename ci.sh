@@ -30,14 +30,6 @@ echo "== scalar-fallback SIMD config =="
 cargo test -q -p autogemm --features force-scalar
 cargo test -q -p autogemm-repro --features autogemm/force-scalar --test simd_kernels
 
-echo "== telemetry config =="
-# Tier-1 runs with the telemetry feature off (timer API compiled to
-# no-ops); this config arms the clocks and session hooks and re-runs the
-# core suite plus the integration guards that assert live timings and
-# traced-vs-untraced bit-identity.
-cargo test -q -p autogemm --features telemetry
-cargo test -q -p autogemm-repro --features telemetry --test telemetry --test pack_counts
-
 echo "== faultinject config =="
 # Arm the deterministic fault-injection probes and run the chaos suite:
 # every injection site × action × thread count must come back as a
@@ -45,7 +37,6 @@ echo "== faultinject config =="
 # suite re-runs under the feature to prove the probes are behaviorally
 # inert while disarmed.
 cargo test -q -p autogemm --features faultinject
-cargo test -q -p autogemm --features faultinject,telemetry
 cargo test -q -p autogemm-repro --features faultinject --test chaos --test fallible_api --test supervisor
 
 echo "== output-integrity config =="
@@ -109,13 +100,14 @@ cargo run --release -p autogemm-bench --bin microkernel -- --smoke
 echo "== gemmtrace bench smoke =="
 # Runs the traced shape sweep's cube subset through the engine front
 # door, re-parses every emitted report through the GemmReport
-# schema-version guard, and gates that metrics-off try_gemm latency
-# stays within noise of metrics-on.
-cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --smoke
+# schema-version guard, checks every report carries live wall and kernel
+# timings, and gates that metrics-off try_gemm latency stays within noise
+# of metrics-on.
+cargo run --release -p autogemm-bench --bin gemmtrace -- --smoke
 
 echo "== bench artifact schema guard =="
 # Re-parse every committed BENCH_*.json through the versioned-schema
-# parser: embedded GemmReports must pass the lenient version guard,
+# parser: embedded GemmReports must be at the current schema version,
 # timeline artifacts must be well-formed Chrome trace events, and every
 # artifact (including ones with no reports, e.g. BENCH_pool.json) must
 # be valid JSON.

@@ -4,7 +4,7 @@
 //! For every shape in [`autogemm_workloads::gemmtrace_sweep`] (Fig 8
 //! cubes plus one Table V ResNet-50 layer per irregularity class) the
 //! binary runs the engine's traced front door
-//! ([`autogemm::AutoGemm::try_gemm_traced`]), keeps the best-wall
+//! ([`autogemm::AutoGemm::try_gemm_traced_opts`]), keeps the best-wall
 //! report of a few repetitions, joins it against the perfmodel's
 //! projected cycles ([`autogemm::GemmReport::join_model`]) and records
 //! the full versioned-JSON report: per-phase wall/cycle breakdown
@@ -19,25 +19,24 @@
 //! `effective_ghz` — §III-B's achieved-vs-predicted tracking).
 //!
 //! ```text
-//! cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace [OUT.json]
-//! cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --smoke
-//! cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace -- --timeline
+//! cargo run --release -p autogemm-bench --bin gemmtrace [OUT.json]
+//! cargo run --release -p autogemm-bench --bin gemmtrace -- --smoke
+//! cargo run --release -p autogemm-bench --bin gemmtrace -- --timeline
 //! ```
 //!
 //! `--smoke` (the CI mode) runs only the small cube shapes with one
 //! repetition and writes no artifact unless a path is also given — but
 //! still serializes every report, re-parses it through the
-//! schema-version guard, and gates that the registry's metrics-off path
-//! adds no measurable overhead to `try_gemm`. `--timeline` runs a short
+//! schema-version guard, checks that every report carries live wall and
+//! kernel timings, and gates that the registry's metrics-off path adds
+//! no measurable overhead to `try_gemm`. `--timeline` runs a short
 //! multi-threaded burst on a tracing engine and writes
 //! `BENCH_timeline.json`, a Chrome trace-event timeline (open it in
 //! Perfetto or `chrome://tracing`) with pack/kernel spans on every
-//! engaged worker track. Without the `telemetry` feature the binary
-//! still runs (and the smoke validation still holds) but all report
-//! timings are zero.
+//! engaged worker track.
 
-use autogemm::telemetry::{Json, ENABLED, SCHEMA_VERSION};
-use autogemm::{AutoGemm, GemmReport};
+use autogemm::telemetry::{Json, SCHEMA_VERSION};
+use autogemm::{AutoGemm, GemmOptions, GemmReport};
 use autogemm_arch::ChipSpec;
 use autogemm_bench::print_table;
 use autogemm_perfmodel::{ModelOpts, ProjectionTable};
@@ -87,7 +86,7 @@ fn run_timeline(out_path: &str) {
         let mut c = vec![0.0f32; m * n];
         for _ in 0..3 {
             engine
-                .try_gemm_threaded(m, n, k, &a, &b, &mut c, THREADS)
+                .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(THREADS))
                 .unwrap_or_else(|e| panic!("{m}x{n}x{k}: {e}"));
         }
     }
@@ -173,10 +172,7 @@ fn main() {
     let reps = if smoke { 1 } else { 5 };
     let chip = ChipSpec::graviton2();
     let mut table = ProjectionTable::new(&chip, ModelOpts::default());
-    println!(
-        "gemmtrace: telemetry feature {} (schema v{SCHEMA_VERSION})",
-        if ENABLED { "ON — live clocks" } else { "OFF — zeroed timings" }
-    );
+    println!("gemmtrace: traced front door, schema v{SCHEMA_VERSION}");
 
     let mut sweep = autogemm_workloads::gemmtrace_sweep();
     if smoke {
@@ -193,7 +189,7 @@ fn main() {
         // steady-state behaviour, not first-touch page faults.
         let run = |c: &mut Vec<f32>| {
             engine
-                .try_gemm_traced(m, n, k, &a, &b, c, THREADS)
+                .try_gemm_traced_opts(m, n, k, &a, &b, c, &GemmOptions::new().threads(THREADS))
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
         };
         run(&mut c);
@@ -215,6 +211,10 @@ fn main() {
         let back = GemmReport::from_json(&report.to_json())
             .unwrap_or_else(|e| panic!("{name}: emitted report failed validation: {e}"));
         assert_eq!(&back, report, "{name}: JSON round trip lost data");
+        assert!(
+            report.wall.wall_ns > 0 && report.phases.kernel.wall_ns > 0,
+            "{name}: a traced report must carry live wall and kernel timings"
+        );
     }
     println!("validated {} reports against schema v{SCHEMA_VERSION}", entries.len());
 
@@ -296,12 +296,9 @@ fn main() {
     };
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"gemmtrace\",");
-    let _ = writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p autogemm-bench --features telemetry --bin gemmtrace\","
-    );
+    let _ =
+        writeln!(json, "  \"command\": \"cargo run --release -p autogemm-bench --bin gemmtrace\",");
     let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"telemetry_enabled\": {ENABLED},");
     let _ = writeln!(json, "  \"threads\": {THREADS},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"model_chip\": \"{}\",", chip.id);

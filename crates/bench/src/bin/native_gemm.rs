@@ -38,7 +38,7 @@
 //! never stuck Open once faults stop.
 
 use autogemm::native::{gemm_with_plan_pooled, gemm_with_plan_repack, try_gemm_with_plan_pooled};
-use autogemm::{AutoGemm, PanelPool};
+use autogemm::{AutoGemm, GemmOptions, PanelPool};
 use autogemm_arch::ChipSpec;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -158,25 +158,18 @@ fn smoke() {
     {
         let (m, n, k, threads) = (128usize, 128usize, 128usize, 4usize);
         let (a, b) = data(m, n, k);
+        let plain = GemmOptions::new().threads(threads);
+        let deadline = GemmOptions::new().threads(threads).deadline(Duration::from_secs(3600));
         let mut c_plain = vec![0.0f32; m * n];
         let plain_s = median_secs(|| {
             engine
-                .try_gemm_threaded(m, n, k, black_box(&a), &b, &mut c_plain, threads)
+                .try_gemm_opts(m, n, k, black_box(&a), &b, &mut c_plain, &plain)
                 .expect("smoke gemm failed")
         });
         let mut c_dl = vec![0.0f32; m * n];
         let dl_s = median_secs(|| {
             engine
-                .try_gemm_deadline(
-                    m,
-                    n,
-                    k,
-                    black_box(&a),
-                    &b,
-                    &mut c_dl,
-                    threads,
-                    Duration::from_secs(3600),
-                )
+                .try_gemm_opts(m, n, k, black_box(&a), &b, &mut c_dl, &deadline)
                 .expect("smoke deadline gemm failed")
         });
         assert_eq!(c_dl, c_plain, "deadline path diverged from try_gemm");
@@ -257,10 +250,11 @@ fn smoke() {
         let (m, n, k) = (52usize, 40usize, 48usize);
         let (a, b) = data(m, n, k);
         let fresh = AutoGemm::new(ChipSpec::graviton2());
+        let opts = GemmOptions::new().threads(1);
         let mut c1 = vec![0.0f32; m * n];
-        let r1 = fresh.try_gemm_traced(m, n, k, &a, &b, &mut c1, 1).expect("traced call failed");
+        let r1 = fresh.try_gemm_traced_opts(m, n, k, &a, &b, &mut c1, &opts).expect("traced call");
         let mut c2 = vec![0.0f32; m * n];
-        let r2 = fresh.try_gemm_traced(m, n, k, &a, &b, &mut c2, 1).expect("traced call failed");
+        let r2 = fresh.try_gemm_traced_opts(m, n, k, &a, &b, &mut c2, &opts).expect("traced call");
         assert!(!r1.dispatch.plan_cache_hit, "first call must tune (cache miss)");
         assert!(r2.dispatch.plan_cache_hit, "second identical call must be a plan-cache hit");
         assert_eq!(c2, c1, "cached plan must reproduce the miss call's bits");
@@ -406,7 +400,9 @@ fn soak(iters: usize) {
     let (a, b) = data(m, n, k);
     for _ in 0..16 {
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).expect("clean tail call failed");
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+            .expect("clean tail call failed");
     }
     let health = engine.health();
     assert!(
@@ -521,16 +517,17 @@ fn main() {
         let panel_s = median_secs(|| {
             gemm_with_plan_pooled(black_box(&plan), &a, &b, &mut c_panel, threads, &pool)
         });
+        let opts = GemmOptions::new().threads(threads);
         let mut c_aware = vec![0.0f32; m * n];
         let aware_s = median_secs(|| {
             engine
-                .try_gemm_threaded(m, n, k, black_box(&a), &b, &mut c_aware, threads)
+                .try_gemm_opts(m, n, k, black_box(&a), &b, &mut c_aware, &opts)
                 .expect("input-aware bench call failed")
         });
         assert_eq!(c_aware, c_panel, "{label}: input-aware path diverged from panel cache");
         let mut c_r = vec![0.0f32; m * n];
         let report = engine
-            .try_gemm_traced(m, n, k, &a, &b, &mut c_r, threads)
+            .try_gemm_traced_opts(m, n, k, &a, &b, &mut c_r, &opts)
             .expect("traced bench call failed");
         let flops = 2.0 * (m * n * k) as f64;
         println!(

@@ -27,7 +27,7 @@
 
 use autogemm::native::try_gemm_with_plan_supervised;
 use autogemm::supervisor::Supervision;
-use autogemm::{AutoGemm, PanelPool, Runtime};
+use autogemm::{AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -107,9 +107,9 @@ fn measure(
     // Bit-identity rides along with every bench run.
     let mut c_pooled = vec![0.0f32; m * n];
     let mut c_scoped = vec![0.0f32; m * n];
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup)
+    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_pooled, threads, &pool, &pooled_sup, None)
         .expect("pooled bench call failed");
-    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup)
+    try_gemm_with_plan_supervised(&plan, &a, &b, &mut c_scoped, threads, &pool, &scoped_sup, None)
         .expect("scoped bench call failed");
     assert_eq!(c_pooled, c_scoped, "{label}: pooled diverged from scoped baseline");
 
@@ -123,16 +123,35 @@ fn measure(
             1,
             &pool,
             &Supervision::none(),
+            None,
         )
         .expect("inline bench call failed")
     });
     let pooled_p = stream(|| {
-        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, &mut c, threads, &pool, &pooled_sup)
-            .expect("pooled bench call failed")
+        try_gemm_with_plan_supervised(
+            black_box(&plan),
+            &a,
+            &b,
+            &mut c,
+            threads,
+            &pool,
+            &pooled_sup,
+            None,
+        )
+        .expect("pooled bench call failed")
     });
     let scoped_p = stream(|| {
-        try_gemm_with_plan_supervised(black_box(&plan), &a, &b, &mut c, threads, &pool, &scoped_sup)
-            .expect("scoped bench call failed")
+        try_gemm_with_plan_supervised(
+            black_box(&plan),
+            &a,
+            &b,
+            &mut c,
+            threads,
+            &pool,
+            &scoped_sup,
+            None,
+        )
+        .expect("scoped bench call failed")
     });
 
     // Dispatch overhead: what the threaded call pays over the inline
@@ -207,11 +226,12 @@ fn smoke() {
     // the process thread count untouched.
     let (a, b) = data(m, n, k);
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).expect("smoke call failed");
+    let opts = GemmOptions::new().threads(threads);
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).expect("smoke call failed");
     let threads_before = os_thread_count();
     let submissions_before = rt.stats().submissions;
     for _ in 0..64 {
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).expect("smoke call failed");
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).expect("smoke call failed");
     }
     let stats = rt.stats();
     assert!(stats.submissions > submissions_before, "stream bypassed the pool");

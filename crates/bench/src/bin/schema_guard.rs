@@ -1,13 +1,13 @@
 //! Re-parse every committed `BENCH_*.json` artifact through the
-//! versioned-schema parser — the CI sweep that keeps old artifacts
-//! loadable as the schema evolves.
+//! versioned-schema parser — the CI sweep that keeps every artifact at
+//! the current schema as the schema evolves.
 //!
 //! Every artifact must be valid JSON. On top of that, any object found
 //! anywhere inside one that carries a `schema_version` key is treated
 //! as an embedded [`autogemm::GemmReport`] and must survive
-//! [`GemmReport::from_json_value`] (the guard accepts every version
-//! back to `MIN_SCHEMA_VERSION`, so `BENCH_gemmtrace.json` regenerated
-//! under any schema still passes). A timeline artifact (one with a
+//! [`GemmReport::from_json_value`] (the guard accepts only the current
+//! `SCHEMA_VERSION`, so a schema bump fails CI until the artifacts are
+//! regenerated). A timeline artifact (one with a
 //! top-level `traceEvents` array) is checked for well-formed Chrome
 //! trace events instead: every event needs `ph`/`pid`/`tid`, and every
 //! duration event (`ph: "X"`) needs numeric `ts`/`dur`.
@@ -60,7 +60,7 @@ fn check_reports(path: &str, v: &Json) -> usize {
 /// artifact violating this was produced by an engine that detected
 /// corruption but never fed the quarantine machinery, which is exactly
 /// the bug this guard exists to catch. Reports without an `integrity`
-/// section (schema ≤ v6, or verification off) are exempt.
+/// section (`null`: no verification layer in front) are exempt.
 fn check_integrity_consistency(path: &str, report: &Json) {
     let failures = report
         .get("integrity")

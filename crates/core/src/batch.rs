@@ -16,6 +16,7 @@ use crate::packing::PanelPool;
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
+use crate::telemetry::CallObserver;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -94,7 +95,7 @@ pub fn try_gemm_batch(
     c: &mut [f32],
     threads: usize,
 ) -> Result<(), GemmError> {
-    try_gemm_batch_supervised(plan, batch, c, threads, &Supervision::none())
+    try_gemm_batch_supervised(plan, batch, c, threads, &Supervision::none(), None)
 }
 
 /// [`try_gemm_batch`] under a [`Supervision`] bundle.
@@ -107,12 +108,17 @@ pub fn try_gemm_batch(
 /// additionally interrupts *inside* the in-flight items at their own
 /// pack/kernel boundaries. Breaker reroutes (`force_reference`,
 /// `force_transient`) are forwarded into every item call.
+///
+/// An attached observer collects the whole batch: the shared-`B`
+/// offline packs plus every item's pack and kernel phases, summed (each
+/// item runs single-threaded, so its profile lands on worker 0).
 pub fn try_gemm_batch_supervised(
     plan: &ExecutionPlan,
     batch: &GemmBatch,
     c: &mut [f32],
     threads: usize,
     sup: &Supervision,
+    obs: Option<&CallObserver>,
 ) -> Result<(), GemmError> {
     let (m, n) = (batch.m, batch.n);
     let item = error::checked_size("m*n", m, n)?;
@@ -147,7 +153,7 @@ pub fn try_gemm_batch_supervised(
     for b in &batch.b {
         let key = slice_key(b);
         if b_uses[&key] > 1 && !shared_b.contains_key(&key) {
-            shared_b.insert(key, PackedB::new(plan, b));
+            shared_b.insert(key, PackedB::pack(plan, b, obs));
         }
     }
 
@@ -214,10 +220,10 @@ pub fn try_gemm_batch_supervised(
                 };
                 let r = match shared_b.get(&slice_key(batch.b[i])) {
                     Some(packed) => crate::offline::try_gemm_prepacked_supervised(
-                        plan, batch.a[i], packed, c_item, 1, &pool, &item_sup,
+                        plan, batch.a[i], packed, c_item, 1, &pool, &item_sup, obs,
                     ),
                     None => native::try_gemm_with_plan_supervised(
-                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup,
+                        plan, batch.a[i], batch.b[i], c_item, 1, &pool, &item_sup, obs,
                     ),
                 };
                 match r {

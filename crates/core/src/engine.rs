@@ -12,7 +12,7 @@ use crate::supervisor::{
     ResilientReport, Supervision,
 };
 use crate::telemetry::metrics::{CallOutcome, Counter, MetricsRegistry, MetricsSnapshot};
-use crate::telemetry::{DispatchStats, HealthReport, IntegrityReport, TraceBuf};
+use crate::telemetry::{CallObserver, DispatchStats, HealthReport, IntegrityReport, TraceBuf};
 use crate::verify::{self, VerifyPolicy};
 use autogemm_arch::ChipSpec;
 use autogemm_sim::Warmth;
@@ -21,7 +21,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Result of a simulated GEMM run on the modelled chip.
 #[derive(Debug, Clone, Copy)]
@@ -371,77 +370,9 @@ impl AutoGemm {
         self.try_gemm_opts(m, n, k, a, b, c, &GemmOptions::new().threads(1))
     }
 
-    /// Native multi-threaded GEMM on the host (panel-cache driver: each
-    /// operand panel packed once, blocks drained from the shared work
-    /// queue, buffers recycled through the engine's pool).
-    ///
-    /// Panics with the structured [`GemmError`] message;
-    /// [`Self::try_gemm_threaded`] is the non-panicking form.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_threaded(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) {
-        if let Err(e) = self.try_gemm_threaded(m, n, k, a, b, c, threads) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Self::gemm_threaded`]. A panicking worker poisons the
-    /// run: survivors drain the queue cursor and exit cleanly, and the
-    /// first panic comes back as [`GemmError::WorkerPanicked`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_threaded(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) -> Result<(), GemmError> {
-        self.try_gemm_opts(m, n, k, a, b, c, &GemmOptions::new().threads(threads))
-    }
-
-    /// [`Self::try_gemm_threaded`] with a relative deadline: the run
-    /// stops cooperatively at the next panel/block boundary once
-    /// `deadline` has elapsed and reports
-    /// [`GemmError::Cancelled`] with its progress. A deadline that never
-    /// fires costs one clock read per claimed block; see
-    /// [`crate::supervisor`] for the overhead contract.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_deadline(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-        deadline: Duration,
-    ) -> Result<(), GemmError> {
-        self.try_gemm_opts(
-            m,
-            n,
-            k,
-            a,
-            b,
-            c,
-            &GemmOptions::new().threads(threads).deadline(deadline),
-        )
-    }
-
     /// The supervised front door: execute with per-call [`GemmOptions`]
-    /// (threads, deadline, cancel token, watchdog). All plain `try_gemm*`
-    /// entry points funnel through here, so every native call consults
+    /// (threads, deadline, cancel token, watchdog). Every native entry
+    /// point funnels through here, so every native call consults
     /// the engine's circuit breaker: quarantined paths are rerouted
     /// (scalar kernels / transient buffers / single thread) and call
     /// outcomes advance the breaker state machine. Cancelled calls are
@@ -457,7 +388,7 @@ impl AutoGemm {
         c: &mut [f32],
         opts: &GemmOptions,
     ) -> Result<(), GemmError> {
-        self.run_supervised(m, n, k, a, b, c, opts, false, false, false)
+        self.run_supervised(m, n, k, a, b, c, opts, false, false, false, None)
     }
 
     /// [`Self::try_gemm_opts`] with one bounded retry-with-degradation
@@ -485,7 +416,7 @@ impl AutoGemm {
         opts: &GemmOptions,
     ) -> Result<ResilientReport, GemmError> {
         let start = std::time::Instant::now();
-        let err = match self.run_supervised(m, n, k, a, b, c, opts, false, false, false) {
+        let err = match self.run_supervised(m, n, k, a, b, c, opts, false, false, false, None) {
             Ok(()) => return Ok(ResilientReport { attempts: 1, mode: ResilientMode::AsRequested }),
             Err(e) => e,
         };
@@ -499,16 +430,16 @@ impl AutoGemm {
             // accumulate), so the corrupted buffer needs no reset.
             let rung_opts = Self::deduct_deadline(opts, start)?.verify(VerifyPolicy::Always);
             self.metrics.add(Counter::VerifyReexecutions, 1);
-            return self.run_supervised(m, n, k, a, b, c, &rung_opts, true, true, true).map(|()| {
-                ResilientReport { attempts: 2, mode: ResilientMode::VerifiedReexecution }
-            });
+            return self.run_supervised(m, n, k, a, b, c, &rung_opts, true, true, true, None).map(
+                |()| ResilientReport { attempts: 2, mode: ResilientMode::VerifiedReexecution },
+            );
         }
         if !is_retryable(&err) {
             return Err(err);
         }
         let rung_opts = Self::deduct_deadline(opts, start)?;
         self.metrics.add(Counter::RetryAttempts, 1);
-        match self.run_supervised(m, n, k, a, b, c, &rung_opts, false, false, true) {
+        match self.run_supervised(m, n, k, a, b, c, &rung_opts, false, false, true, None) {
             Ok(()) => {
                 return Ok(ResilientReport { attempts: 2, mode: ResilientMode::SingleThread })
             }
@@ -517,7 +448,7 @@ impl AutoGemm {
         }
         let rung_opts = Self::deduct_deadline(opts, start)?;
         self.metrics.add(Counter::RetryAttempts, 1);
-        self.run_supervised(m, n, k, a, b, c, &rung_opts, true, true, true)
+        self.run_supervised(m, n, k, a, b, c, &rung_opts, true, true, true, None)
             .map(|()| ResilientReport { attempts: 3, mode: ResilientMode::ScalarTransient })
     }
 
@@ -568,7 +499,8 @@ impl AutoGemm {
     /// admission → supervision bundle → plan → driver → breaker record.
     /// `force_*` flags are the resilient ladder's degradations, OR-ed
     /// with whatever the breaker quarantines. Wraps the whole call in
-    /// the registry's latency/throughput measurement.
+    /// the registry's latency/throughput measurement. `obs` is the traced
+    /// front door's observer, handed on to the route's driver.
     #[allow(clippy::too_many_arguments)]
     fn run_supervised(
         &self,
@@ -582,6 +514,7 @@ impl AutoGemm {
         force_reference: bool,
         force_transient: bool,
         force_single_thread: bool,
+        obs: Option<&CallObserver>,
     ) -> Result<(), GemmError> {
         let t0 = self.metrics.call_begin();
         let result = self.run_supervised_inner(
@@ -595,6 +528,7 @@ impl AutoGemm {
             force_reference,
             force_transient,
             force_single_thread,
+            obs,
         );
         self.metrics.call_end(t0, Self::call_flops(m, n, k), Self::call_outcome(&result));
         result
@@ -613,12 +547,16 @@ impl AutoGemm {
         force_reference: bool,
         force_transient: bool,
         force_single_thread: bool,
+        obs: Option<&CallObserver>,
     ) -> Result<(), GemmError> {
         error::check_operands(m, n, k, a, b, c)?;
-        if m == 0 || n == 0 {
-            return Ok(());
-        }
-        if k == 0 {
+        if m == 0 || n == 0 || k == 0 {
+            // Degenerate shapes never reach the tuner (and are neutral
+            // for the breaker); a traced call reports the shape with an
+            // otherwise-empty profile.
+            if let Some(o) = obs {
+                o.update(|r| (r.m, r.n, r.k) = (m, n, k));
+            }
             c.fill(0.0);
             return Ok(());
         }
@@ -649,19 +587,47 @@ impl AutoGemm {
         // Degenerate shapes (m = 1, n = 1, tiny k) skip the tuner and the
         // block driver entirely: the GEMV/small-k fast paths produce
         // bit-identical output with none of the planning or packing cost.
-        if let Some(route) = crate::gemv::fast_route(m, n, k) {
-            let mut result =
-                crate::gemv::try_fast_supervised(route, m, n, k, a, b, c, threads, &sup);
-            let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut result);
-            self.breaker_record(&sup, &adm, threads, &result, verified);
-            return result;
-        }
-        let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
-        let (plan, _) = self.plan_dispatch(m, n, k, tuner_threads);
-        let mut result =
-            native::try_gemm_with_plan_supervised(&plan, a, b, c, threads, &self.panel_pool, &sup);
+        let (mut result, route, routing, cache_hit) = match crate::gemv::fast_route(m, n, k) {
+            Some(route) => {
+                let r =
+                    crate::gemv::try_fast_supervised(route, m, n, k, a, b, c, threads, &sup, obs);
+                let unpacked = OperandRouting { pack_a: false, pack_b: false };
+                (r, route.name(), unpacked, false)
+            }
+            None => {
+                let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
+                let (plan, hit) = self.plan_dispatch(m, n, k, tuner_threads);
+                let pool = &self.panel_pool;
+                let r =
+                    native::try_gemm_with_plan_supervised(&plan, a, b, c, threads, pool, &sup, obs);
+                (r, "block", plan.routing, hit)
+            }
+        };
         let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut result);
-        self.breaker_record(&sup, &adm, threads, &result, verified);
+        let transitions = self.breaker_record(&sup, &adm, threads, &result, verified);
+        if let Some(o) = obs {
+            // The traced front door's engine-level sections: the breaker
+            // snapshot with this call's transitions, pool counters, the
+            // integrity policy, and the dispatch decision.
+            let mut events = adm.events;
+            events.extend(transitions);
+            let health = self.breaker.health_report(events);
+            let integrity = self.integrity_section(opts, verified);
+            let (pool, stats) = (self.runtime.stats(), self.plans.stats());
+            o.update(|r| {
+                r.health = health;
+                r.pool = pool;
+                r.integrity = Some(integrity);
+                r.dispatch = DispatchStats {
+                    route: route.to_string(),
+                    packed_a: routing.pack_a,
+                    packed_b: routing.pack_b,
+                    plan_cache_hit: cache_hit,
+                    plan_cache_hits: stats.hits,
+                    plan_cache_misses: stats.misses,
+                };
+            });
+        }
         result
     }
 
@@ -774,56 +740,17 @@ impl AutoGemm {
         self.breaker.record(&sup.observed, reroute, adm.probe, neutral)
     }
 
-    /// [`Self::gemm_threaded`] with per-call telemetry: runs the same
-    /// plan through the traced panel-cache driver and returns the
-    /// [`crate::GemmReport`] — phase breakdown, pack stats, per-thread
-    /// busy profiles and the dispatched kernel-shape histogram. Output
-    /// `C` is bit-identical to the untraced call; without the
-    /// `telemetry` feature the report's timings and counters are zero.
-    ///
-    /// Panics with the structured [`GemmError`] message;
-    /// [`Self::try_gemm_traced`] is the non-panicking form.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_traced(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) -> crate::GemmReport {
-        match self.try_gemm_traced(m, n, k, a, b, c, threads) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Self::gemm_traced`]. The report's
+    /// The traced front door: [`Self::try_gemm_opts`] with a
+    /// [`CallObserver`] attached to the call's one driver, returning the
+    /// [`crate::GemmReport`] it collected — phase breakdown, pack stats,
+    /// per-thread busy profiles and the dispatched kernel-shape
+    /// histogram — plus the engine's sections: the post-call breaker
+    /// snapshot with every transition this call performed (`health`),
+    /// the dispatch decision, pool counters, the integrity policy and the
+    /// engine-lifetime metrics. Output `C` is bit-identical to the
+    /// untraced call, with identical breaker and supervision semantics;
     /// [`crate::telemetry::FallbackStats`] records any graceful
-    /// degradation (unpooled packing, scalar-kernel reroute) the run
-    /// took, and [`crate::telemetry::GemmReport::health`] carries the
-    /// breaker snapshot with this call's transitions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_traced(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        threads: usize,
-    ) -> Result<crate::GemmReport, GemmError> {
-        self.try_gemm_traced_opts(m, n, k, a, b, c, &GemmOptions::new().threads(threads))
-    }
-
-    /// [`Self::try_gemm_traced`] with per-call [`GemmOptions`]: the
-    /// traced twin of [`Self::try_gemm_opts`], with identical breaker
-    /// and supervision semantics. The returned report's `health` section
-    /// holds the post-call breaker snapshot plus every transition this
-    /// call performed.
+    /// degradation the run took.
     #[allow(clippy::too_many_arguments)]
     pub fn try_gemm_traced_opts(
         &self,
@@ -835,114 +762,13 @@ impl AutoGemm {
         c: &mut [f32],
         opts: &GemmOptions,
     ) -> Result<crate::GemmReport, GemmError> {
-        let t0 = self.metrics.call_begin();
-        let result = self.try_gemm_traced_inner(m, n, k, a, b, c, opts);
-        self.metrics.call_end(t0, Self::call_flops(m, n, k), Self::call_outcome(&result));
+        let obs = CallObserver::new();
+        self.run_supervised(m, n, k, a, b, c, opts, false, false, false, Some(&obs))?;
+        let mut report = obs.into_report();
         // Stamp the post-call registry view on the report (schema-v5
         // `metrics` section) so committed artifacts carry it.
-        result.map(|mut report| {
-            report.metrics = Some(self.metrics());
-            report
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_gemm_traced_inner(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        opts: &GemmOptions,
-    ) -> Result<crate::GemmReport, GemmError> {
-        error::check_operands(m, n, k, a, b, c)?;
-        if m == 0 || n == 0 || k == 0 {
-            // Degenerate shapes never reach the tuner (and are neutral
-            // for the breaker); report the shape with an otherwise-empty
-            // profile.
-            if k == 0 && m > 0 && n > 0 {
-                c.fill(0.0);
-            }
-            return Ok(crate::GemmReport { m, n, k, ..crate::GemmReport::default() });
-        }
-        let adm = self.breaker.admit();
-        let reroute = adm.reroute;
-        let mut events = adm.events.clone();
-        let mut sup = Supervision::from_options(opts).with_runtime(self.runtime.clone());
-        if let Some(t) = &self.tracer {
-            sup = sup.with_tracer(Arc::clone(t));
-        }
-        sup.set_force_reference(
-            reroute[BreakerPath::SimdDispatch.index()]
-                || reroute[BreakerPath::VerifyIntegrity.index()],
-        );
-        sup.set_force_transient(reroute[BreakerPath::PoolAlloc.index()]);
-        sup.set_force_inline(reroute[BreakerPath::PoolSubmit.index()]);
-        let mut threads = self.clamp_threads(opts.threads);
-        if reroute[BreakerPath::ThreadedDriver.index()] {
-            threads = 1;
-        }
-        if let Some(route) = crate::gemv::fast_route(m, n, k) {
-            let mut result =
-                crate::gemv::try_fast_traced_supervised(route, m, n, k, a, b, c, threads, &sup);
-            let mut unit = result.as_ref().map(|_| ()).map_err(GemmError::clone);
-            let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut unit);
-            if let Err(e) = unit {
-                result = Err(e);
-            }
-            events.extend(self.breaker_record(&sup, &adm, threads, &result, verified));
-            let stats = self.plans.stats();
-            let integrity = self.integrity_section(opts, verified);
-            return result.map(|mut report| {
-                report.health = self.breaker.health_report(events);
-                report.pool = self.runtime.stats();
-                report.integrity = Some(integrity);
-                report.dispatch = DispatchStats {
-                    route: route.name().to_string(),
-                    packed_a: false,
-                    packed_b: false,
-                    plan_cache_hit: false,
-                    plan_cache_hits: stats.hits,
-                    plan_cache_misses: stats.misses,
-                };
-                report
-            });
-        }
-        let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
-        let (plan, cache_hit) = self.plan_dispatch(m, n, k, tuner_threads);
-        let mut result = native::try_gemm_with_plan_traced_supervised(
-            &plan,
-            a,
-            b,
-            c,
-            threads,
-            &self.panel_pool,
-            &sup,
-        );
-        let mut unit = result.as_ref().map(|_| ()).map_err(GemmError::clone);
-        let verified = self.maybe_verify(m, n, k, a, b, c, opts, &sup, &adm, &mut unit);
-        if let Err(e) = unit {
-            result = Err(e);
-        }
-        events.extend(self.breaker_record(&sup, &adm, threads, &result, verified));
-        let stats = self.plans.stats();
-        let integrity = self.integrity_section(opts, verified);
-        result.map(|mut report| {
-            report.health = self.breaker.health_report(events);
-            report.pool = self.runtime.stats();
-            report.integrity = Some(integrity);
-            report.dispatch = DispatchStats {
-                route: "block".to_string(),
-                packed_a: plan.routing.pack_a,
-                packed_b: plan.routing.pack_b,
-                plan_cache_hit: cache_hit,
-                plan_cache_hits: stats.hits,
-                plan_cache_misses: stats.misses,
-            };
-            report
-        })
+        report.metrics = Some(self.metrics());
+        Ok(report)
     }
 
     /// The schema-v7 `integrity` report section: this call's resolved
@@ -1047,7 +873,7 @@ impl AutoGemm {
         // Items run single-threaded (parallelism is across items), so
         // the per-item plan is the single-thread plan.
         let plan = self.plan(m, n, k);
-        let result = crate::batch::try_gemm_batch_supervised(&plan, batch, c, threads, &sup);
+        let result = crate::batch::try_gemm_batch_supervised(&plan, batch, c, threads, &sup, None);
         if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. }))
         {
             sup.observe_fault(BreakerPath::ThreadedDriver);
@@ -1234,10 +1060,12 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 - 3.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 - 2.0).collect();
         for threads in [1usize, 3] {
+            let opts = GemmOptions::new().threads(threads);
             let mut c_plain = vec![0.0f32; m * n];
-            engine.gemm_threaded(m, n, k, &a, &b, &mut c_plain, threads);
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c_plain, &opts).unwrap();
             let mut c_traced = vec![0.0f32; m * n];
-            let report = engine.gemm_traced(m, n, k, &a, &b, &mut c_traced, threads);
+            let report =
+                engine.try_gemm_traced_opts(m, n, k, &a, &b, &mut c_traced, &opts).unwrap();
             assert_eq!(c_traced, c_plain, "t{threads}: traced front door diverged");
             assert_eq!((report.m, report.n, report.k), (m, n, k));
             assert!(!report.thread_profiles.is_empty());

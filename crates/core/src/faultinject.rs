@@ -1,8 +1,8 @@
 //! Seeded, deterministic fault injection for the native backend.
 //!
-//! Behind the `faultinject` cargo feature (a no-op when off, like
-//! `telemetry`): probes compiled into the hot paths consult a globally
-//! armed [`FaultPlan`] and, at the chosen call, either *degrade* (force
+//! Behind the `faultinject` cargo feature (a no-op when off): probes
+//! compiled into the hot paths consult a globally armed [`FaultPlan`]
+//! and, at the chosen call, either *degrade* (force
 //! the graceful-degradation path), *fail* (surface a structured
 //! [`GemmError`](crate::error::GemmError)) or *panic* (exercise the
 //! worker-panic containment). With the feature off every probe is an

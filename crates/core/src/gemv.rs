@@ -39,16 +39,10 @@
 use crate::error::GemmError;
 use crate::faultinject::{self, FaultSite};
 use crate::kernels::micro_kernel_simd;
-use crate::native::{contain, heartbeat, micro_kernel_ref, CTile, Poison, RunConfig};
+use crate::native::{micro_kernel_ref, try_drain_kernel, CTile, RunConfig};
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
-use crate::telemetry::clock::Stamp;
-use crate::telemetry::report::{GemmReport, PhaseProfile, PhaseTimes, ThreadProfile};
-use crate::telemetry::session::{self, Session};
-use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use crate::telemetry::observer::{CallObserver, TileTally};
 
 /// Largest `k` the small-`k` route takes over from the block driver: at
 /// or below this the whole K extent fits the kernel's accumulator pass
@@ -115,8 +109,11 @@ fn row_chunk<const NRV: usize, const NR: usize>(
     b: &[f32],
     n: usize,
     c: CTile,
+    tally: Option<&mut TileTally>,
 ) {
-    session::record_tile(1, NR);
+    if let Some(t) = tally {
+        t.record(1, NR);
+    }
     if reference {
         micro_kernel_ref::<1, NR>(k, a_row, k, b, n, c, false, 1, NR);
     } else {
@@ -139,6 +136,7 @@ fn row_gemv_range(
     j0: usize,
     j1: usize,
     tail_pad: Option<&[f32]>,
+    mut tally: Option<&mut TileTally>,
 ) {
     let mut j = j0;
     while j1 - j >= 4 {
@@ -148,31 +146,31 @@ fn row_gemv_range(
         let bj = &b[j..];
         let taken = match rem {
             r if r >= 28 => {
-                row_chunk::<7, 28>(reference, k, a_row, bj, n, c);
+                row_chunk::<7, 28>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 28
             }
             r if r >= 24 => {
-                row_chunk::<6, 24>(reference, k, a_row, bj, n, c);
+                row_chunk::<6, 24>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 24
             }
             r if r >= 20 => {
-                row_chunk::<5, 20>(reference, k, a_row, bj, n, c);
+                row_chunk::<5, 20>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 20
             }
             r if r >= 16 => {
-                row_chunk::<4, 16>(reference, k, a_row, bj, n, c);
+                row_chunk::<4, 16>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 16
             }
             r if r >= 12 => {
-                row_chunk::<3, 12>(reference, k, a_row, bj, n, c);
+                row_chunk::<3, 12>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 12
             }
             r if r >= 8 => {
-                row_chunk::<2, 8>(reference, k, a_row, bj, n, c);
+                row_chunk::<2, 8>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 8
             }
             _ => {
-                row_chunk::<1, 4>(reference, k, a_row, bj, n, c);
+                row_chunk::<1, 4>(reference, k, a_row, bj, n, c, tally.as_deref_mut());
                 4
             }
         };
@@ -195,7 +193,9 @@ fn row_gemv_range(
                 &owned[..]
             }
         };
-        session::record_tile(1, 4);
+        if let Some(t) = tally {
+            t.record(1, 4);
+        }
         // SAFETY: this worker owns columns [j0, j1) of the row.
         let c = unsafe { c_row.offset(0, j) };
         if reference {
@@ -226,8 +226,17 @@ fn pad_lane_tail(k: usize, b: &[f32], n: usize, j: usize, w: usize) -> Vec<f32> 
 
 /// One `(MR, 4)` tile of the column route: `MR` real rows of A against
 /// the lane-padded column, storing lane 0 only.
-fn col_tile<const MR: usize>(reference: bool, k: usize, a: &[f32], b_pad: &[f32], c: CTile) {
-    session::record_tile(MR, 4);
+fn col_tile<const MR: usize>(
+    reference: bool,
+    k: usize,
+    a: &[f32],
+    b_pad: &[f32],
+    c: CTile,
+    tally: Option<&mut TileTally>,
+) {
+    if let Some(t) = tally {
+        t.record(MR, 4);
+    }
     if reference {
         micro_kernel_ref::<MR, 4>(k, a, k, b_pad, 4, c, false, MR, 1);
     } else {
@@ -249,6 +258,7 @@ fn col_tile<const MR: usize>(reference: bool, k: usize, a: &[f32], b_pad: &[f32]
 /// The SIMD kernels read all `MR` rows (only stores are masked), so the
 /// row count descends 8 → 4 → 2 → 1 full tiles rather than masking a
 /// partial last group — every tile's rows are real rows of A.
+#[allow(clippy::too_many_arguments)]
 fn col_gemv_rows(
     reference: bool,
     k: usize,
@@ -257,6 +267,7 @@ fn col_gemv_rows(
     c_root: CTile,
     i0: usize,
     i1: usize,
+    mut tally: Option<&mut TileTally>,
 ) {
     let b_pad = pad_lane_tail(k, b, 1, 0, 1);
     let mut i = i0;
@@ -267,19 +278,19 @@ fn col_gemv_rows(
         let c = unsafe { c_root.offset(i, 0) };
         i += match rem {
             r if r >= COL_MR => {
-                col_tile::<COL_MR>(reference, k, a_sl, &b_pad, c);
+                col_tile::<COL_MR>(reference, k, a_sl, &b_pad, c, tally.as_deref_mut());
                 COL_MR
             }
             r if r >= 4 => {
-                col_tile::<4>(reference, k, a_sl, &b_pad, c);
+                col_tile::<4>(reference, k, a_sl, &b_pad, c, tally.as_deref_mut());
                 4
             }
             r if r >= 2 => {
-                col_tile::<2>(reference, k, a_sl, &b_pad, c);
+                col_tile::<2>(reference, k, a_sl, &b_pad, c, tally.as_deref_mut());
                 2
             }
             _ => {
-                col_tile::<1>(reference, k, a_sl, &b_pad, c);
+                col_tile::<1>(reference, k, a_sl, &b_pad, c, tally.as_deref_mut());
                 1
             }
         };
@@ -309,22 +320,23 @@ fn run_unit(
     a: &[f32],
     b: &[f32],
     c_root: CTile,
+    tally: Option<&mut TileTally>,
 ) {
     match route {
         FastRoute::RowGemv => {
             let j0 = u * COL_CHUNK;
             let j1 = (j0 + COL_CHUNK).min(n);
-            row_gemv_range(reference, k, &a[..k], b, n, c_root, j0, j1, None);
+            row_gemv_range(reference, k, &a[..k], b, n, c_root, j0, j1, None, tally);
         }
         FastRoute::ColGemv => {
             let i0 = u * ROW_CHUNK;
             let i1 = (i0 + ROW_CHUNK).min(m);
-            col_gemv_rows(reference, k, a, b, c_root, i0, i1);
+            col_gemv_rows(reference, k, a, b, c_root, i0, i1, tally);
         }
         FastRoute::SmallK => {
             let i0 = u * SMALLK_ROWS;
             let i1 = (i0 + SMALLK_ROWS).min(m);
-            smallk_rows(reference, m, n, k, a, b, c_root, i0, i1);
+            smallk_rows(reference, n, k, a, b, c_root, i0, i1, tally);
         }
     }
     // Chaos hook: `FaultSite::KernelCompute` fires after the unit's
@@ -365,7 +377,6 @@ fn run_unit(
 #[allow(clippy::too_many_arguments)]
 fn smallk_rows(
     reference: bool,
-    _m: usize,
     n: usize,
     k: usize,
     a: &[f32],
@@ -373,6 +384,7 @@ fn smallk_rows(
     c_root: CTile,
     i0: usize,
     i1: usize,
+    mut tally: Option<&mut TileTally>,
 ) {
     // Every row shares the same lane tail of B — pad it once
     // for the whole unit, not once per row.
@@ -381,118 +393,23 @@ fn smallk_rows(
     for i in i0..i1 {
         // SAFETY: rows [i0, i1) are owned by this unit.
         let c_row = unsafe { c_root.offset(i, 0) };
-        row_gemv_range(reference, k, &a[i * k..i * k + k], b, n, c_row, 0, n, pad.as_deref());
+        let (a_row, t) = (&a[i * k..i * k + k], tally.as_deref_mut());
+        row_gemv_range(reference, k, a_row, b, n, c_row, 0, n, pad.as_deref(), t);
     }
 }
 
-/// Run `f` inside `sess` when tracing, bare otherwise.
-fn with_optional_session(sess: Option<&Arc<Session>>, f: impl FnOnce()) {
-    match sess {
-        Some(s) => session::with_session(s, f),
-        None => f(),
-    }
-}
-
-/// Drain the unit list through a shared atomic cursor with the block
-/// driver's worker discipline: startup probe, heartbeat per claim,
-/// cancellation polls, panic containment via [`Poison`], and per-worker
-/// busy/drain profiles for the traced twin. Ends with the phase
-/// resolution (`monitor.outcome("kernel", units)`).
-#[allow(clippy::too_many_arguments)]
-fn try_run_units(
-    route: FastRoute,
-    reference: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c_root: CTile,
-    threads: usize,
-    sess: Option<&Arc<Session>>,
-    exec: &Exec,
-    monitor: &RunMonitor,
-) -> Result<(Vec<ThreadProfile>, PhaseTimes, PhaseTimes), GemmError> {
-    let units = unit_count(route, m, n);
-    let threads = threads.max(1).min(units);
-    let section0 = Stamp::now();
-    let mut finished: Vec<(ThreadProfile, Stamp)> = Vec::with_capacity(threads);
-    if threads == 1 {
-        let mut prof = ThreadProfile { thread: 0, ..ThreadProfile::default() };
-        let s0 = exec.trace_begin();
-        contain(|| {
-            with_optional_session(sess, || {
-                faultinject::probe(FaultSite::WorkerStartup);
-                for u in 0..units {
-                    if monitor.should_stop() || !heartbeat(monitor, 0) {
-                        break;
-                    }
-                    let u0 = Stamp::now();
-                    run_unit(route, u, reference, m, n, k, a, b, c_root);
-                    prof.busy += u0.elapsed();
-                    prof.blocks += 1;
-                    monitor.note_done();
-                }
-            })
-        })?;
-        exec.trace_phase(0, "kernel", s0);
-        finished.push((prof, Stamp::now()));
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let poison = Poison::new();
-        let collected: Mutex<Vec<(ThreadProfile, Stamp)>> = Mutex::new(Vec::with_capacity(threads));
-        let body = |t: usize| {
-            let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                with_optional_session(sess, || {
-                    faultinject::probe(FaultSite::WorkerStartup);
-                    loop {
-                        if poison.is_poisoned() || monitor.should_stop() {
-                            break;
-                        }
-                        let u = cursor.fetch_add(1, Ordering::Relaxed);
-                        if u >= units {
-                            break;
-                        }
-                        if !heartbeat(monitor, t) {
-                            break;
-                        }
-                        let u0 = Stamp::now();
-                        run_unit(route, u, reference, m, n, k, a, b, c_root);
-                        prof.busy += u0.elapsed();
-                        prof.blocks += 1;
-                        monitor.note_done();
-                    }
-                })
-            }));
-            if let Err(payload) = run {
-                poison.record(t, payload);
-            }
-            collected.lock().push((prof, Stamp::now()));
-        };
-        exec.run_section_traced(threads, "kernel", &body);
-        poison.into_result()?;
-        finished = collected.into_inner();
-        finished.sort_by_key(|(p, _)| p.thread);
-    }
-    monitor.outcome("kernel", units)?;
-    let end = Stamp::now();
-    let kernel = section0.delta_to(end);
-    let mut drain_total = PhaseTimes::default();
-    let profiles = finished
-        .into_iter()
-        .map(|(mut p, f)| {
-            p.drain = f.delta_to(end);
-            drain_total += p.drain;
-            p
-        })
-        .collect();
-    Ok((profiles, kernel, drain_total))
-}
-
-/// Execute a fast route under a [`Supervision`] bundle. The caller (the
-/// engine front door) has already validated the operands and handled
-/// zero-sized dimensions.
+/// Execute a fast route under a [`Supervision`] bundle — the GEMV and
+/// small-`k` routes' one driver body. The caller (the engine front door)
+/// has already validated the operands and handled zero-sized
+/// dimensions. Units drain through the block driver's kernel section
+/// ([`try_drain_kernel`]), so the worker discipline — startup probe,
+/// heartbeat per claim, cancellation polls, panic containment with the
+/// partial-`C` contract — is the block route's.
+///
+/// An attached observer gets the kernel-phase profile and tile
+/// histogram. The fast routes have no cache blocking, so the report's
+/// `mc/nc/kc` echo the problem shape, and no packing, so the pack phase
+/// times and counters stay zero.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_fast_supervised(
     route: FastRoute,
@@ -504,7 +421,11 @@ pub(crate) fn try_fast_supervised(
     c: &mut [f32],
     threads: usize,
     sup: &Supervision,
+    obs: Option<&CallObserver>,
 ) -> Result<(), GemmError> {
+    if let Some(o) = obs {
+        o.update(|r| (r.m, r.n, r.k, r.mc, r.nc, r.kc) = (m, n, k, m, n, k));
+    }
     let cfg = RunConfig::probe(sup, threads)?;
     let exec = Exec::new(sup, cfg.pool_inline);
     // SAFETY: units partition C's cells; each is claimed by one worker.
@@ -512,80 +433,19 @@ pub(crate) fn try_fast_supervised(
     let monitor = RunMonitor::new(sup, threads.max(1));
     let watchdog = exec.runtime().watch(&monitor);
     monitor.begin_phase();
-    let result =
-        try_run_units(route, cfg.reference, m, n, k, a, b, c_root, threads, None, &exec, &monitor)
-            .map(|_| ());
+    let units = unit_count(route, m, n);
+    let result = try_drain_kernel(units, threads, &exec, &monitor, obs, |u, tally| {
+        run_unit(route, u, cfg.reference, m, n, k, a, b, c_root, tally);
+    });
     monitor.finish();
     drop(watchdog);
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
+    }
+    if let (Ok(()), Some(o)) = (&result, obs) {
+        o.update(|r| r.fallbacks = cfg.fallbacks);
     }
     result
-}
-
-/// The traced twin of [`try_fast_supervised`]: the same numeric path
-/// and supervision checkpoints, returning a [`GemmReport`]. The fast
-/// routes have no cache blocking, so the report's `mc/nc/kc` echo the
-/// problem shape, and no packing, so the pack phase times and counters
-/// stay zero. The engine stamps `dispatch` and `health` after the call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_fast_traced_supervised(
-    route: FastRoute,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    sup: &Supervision,
-) -> Result<GemmReport, GemmError> {
-    let cfg = RunConfig::probe(sup, threads)?;
-    let exec = Exec::new(sup, cfg.pool_inline);
-    let sess = Arc::new(Session::new());
-    let t0 = Stamp::now();
-    // SAFETY: units partition C's cells; each is claimed by one worker.
-    let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
-    let monitor = RunMonitor::new(sup, threads.max(1));
-    let watchdog = exec.runtime().watch(&monitor);
-    monitor.begin_phase();
-    let result = try_run_units(
-        route,
-        cfg.reference,
-        m,
-        n,
-        k,
-        a,
-        b,
-        c_root,
-        threads,
-        Some(&sess),
-        &exec,
-        &monitor,
-    );
-    monitor.finish();
-    drop(watchdog);
-    if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
-        sup.observe_fault(BreakerPath::ThreadedDriver);
-    }
-    let (thread_profiles, kernel, drain) = result?;
-    let wall = t0.elapsed();
-    let stats = sess.take();
-    Ok(GemmReport {
-        m,
-        n,
-        k,
-        threads: thread_profiles.len(),
-        mc: m,
-        nc: n,
-        kc: k,
-        wall,
-        phases: PhaseProfile { kernel, drain, ..PhaseProfile::default() },
-        tiles: stats.tile_counts(),
-        thread_profiles,
-        fallbacks: cfg.fallbacks,
-        ..GemmReport::default()
-    })
 }
 
 #[cfg(test)]
@@ -645,7 +505,8 @@ mod tests {
             fill(&mut b, 7 + n as u32);
             for threads in [1usize, 3] {
                 let mut c = vec![f32::NAN; m * n];
-                try_fast_supervised(route, m, n, k, &a, &b, &mut c, threads, &Supervision::none())
+                let sup = Supervision::none();
+                try_fast_supervised(route, m, n, k, &a, &b, &mut c, threads, &sup, None)
                     .expect("fast route runs");
                 assert_eq!(c, naive(m, n, k, &a, &b), "({m},{n},{k}) t{threads} {route:?}");
             }
@@ -660,24 +521,18 @@ mod tests {
         fill(&mut b, 11);
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
-        try_fast_supervised(FastRoute::RowGemv, m, n, k, &a, &b, &mut c1, 2, &Supervision::none())
-            .expect("plain");
-        let report = try_fast_traced_supervised(
-            FastRoute::RowGemv,
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut c2,
-            2,
-            &Supervision::none(),
-        )
-        .expect("traced");
+        let (route, sup) = (FastRoute::RowGemv, Supervision::none());
+        try_fast_supervised(route, m, n, k, &a, &b, &mut c1, 2, &sup, None).expect("plain");
+        let obs = CallObserver::new();
+        try_fast_supervised(route, m, n, k, &a, &b, &mut c2, 2, &sup, Some(&obs)).expect("traced");
+        let report = obs.into_report();
         assert_eq!(c1, c2, "tracing must not change bits");
         assert_eq!((report.m, report.n, report.k), (m, n, k));
         assert_eq!((report.mc, report.nc, report.kc), (m, n, k), "no cache blocking");
         assert_eq!(report.packs.a_packs + report.packs.b_packs, 0, "no packing");
         assert!(report.threads >= 1);
+        // 200 columns in one unit: 7 × 28-wide chunks, then one 4-wide.
+        assert_eq!(report.total_tiles(), 8);
+        assert!(report.phases.kernel.wall_ns > 0, "kernel section must tick");
     }
 }

@@ -36,7 +36,7 @@
 //!   plans, shared by both backends;
 //! * [`packing`] — operand packing (`none` / `offline` / `online`) with the
 //!   generated kernels' padding contract plus the panel buffer pool
-//!   (pack-call accounting lives in the telemetry session);
+//!   (pack-call accounting lives on the traced call's observer);
 //! * [`simd`] — the explicit SIMD lane layer: a 4-lane `f32` vector
 //!   over NEON (aarch64), SSE2/FMA (x86_64, FMA runtime-detected) or a
 //!   portable array fallback, plus the cached backend probe;
@@ -61,9 +61,10 @@
 //! * [`simexec`] — the simulated backend: executes the generated virtual-ISA
 //!   kernels block-by-block on the pipeline model, memoizing per-block
 //!   cycle counts, and composes multi-core makespans;
-//! * [`telemetry`] — the per-GEMM observability layer: scoped wall/cycle
-//!   timers behind the `telemetry` feature, per-phase and per-thread
-//!   profiles from the traced drivers, the dispatched kernel-shape
+//! * [`telemetry`] — the per-GEMM observability layer: the optional
+//!   per-call observer each route's single driver accepts (wall/cycle
+//!   stamps only when a traced entry point attaches one), per-phase and
+//!   per-thread profiles, the dispatched kernel-shape
 //!   histogram, and versioned-JSON [`telemetry::GemmReport`]s joined
 //!   against the perfmodel projection (the measured-vs-model feedback
 //!   loop every perf PR cites) — plus the always-available engine-

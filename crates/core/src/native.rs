@@ -43,20 +43,19 @@ use crate::error::{self, GemmError};
 use crate::faultinject::{self, FaultSite, Probe};
 use crate::kernels::Operand;
 use crate::offline::PackedB;
-use crate::packing::{pack_a, pack_a_into, pack_b, pack_b_into, PackedBlock, PanelPool};
+use crate::packing::{
+    pack_a, pack_a_into, pack_b, pack_b_into, pack_traffic_bytes, PackedBlock, PanelPool,
+};
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
-use crate::telemetry::report::{
-    FallbackStats, GemmReport, PackStats, PhaseProfile, PhaseTimes, ThreadProfile,
-};
-use crate::telemetry::session::{self, Session};
+use crate::telemetry::observer::{CallObserver, TileTally};
+use crate::telemetry::report::{FallbackStats, GemmReport, ThreadProfile};
 use autogemm_tiling::TilePlacement;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Shared poison flag for one parallel section. The first panicking
 /// worker records its index and payload here; survivors poll
@@ -96,24 +95,18 @@ impl Poison {
     }
 }
 
-/// Run `f` on the caller thread with panic containment. The caller
-/// thread acts as worker 0 (setup phases and single-threaded runs), so a
-/// caught panic reports `thread: 0`.
-pub(crate) fn contain<R>(f: impl FnOnce() -> R) -> Result<R, GemmError> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| GemmError::WorkerPanicked {
-        thread: 0,
-        detail: error::panic_detail(payload.as_ref()),
-    })
-}
-
 /// Consult the fault-injection plan at `site` from the caller thread,
-/// containing an injected panic as a worker-0 panic. Compiles to
-/// `Ok(Probe::Ok)` without the `faultinject` feature.
+/// containing an injected panic as a worker-0 panic (the caller thread
+/// acts as worker 0 in setup phases). Compiles to `Ok(Probe::Ok)`
+/// without the `faultinject` feature.
 #[inline(always)]
 fn probe_contained(site: FaultSite) -> Result<Probe, GemmError> {
     #[cfg(feature = "faultinject")]
     {
-        contain(|| faultinject::probe(site))
+        catch_unwind(|| faultinject::probe(site)).map_err(|payload| GemmError::WorkerPanicked {
+            thread: 0,
+            detail: error::panic_detail(payload.as_ref()),
+        })
     }
     #[cfg(not(feature = "faultinject"))]
     {
@@ -141,7 +134,7 @@ pub(crate) struct RunConfig {
     /// inline instead of submitting it to the worker pool. Correct —
     /// section bodies are slot-agnostic cursor drains — just slower.
     pub(crate) pool_inline: bool,
-    /// Degradations taken, for the traced driver's report.
+    /// Degradations taken, for a traced call's report.
     pub(crate) fallbacks: FallbackStats,
 }
 
@@ -410,6 +403,11 @@ const DYN_MAX_NR: usize = 28;
 /// (SVE tiles reach 8×112) are computed in independent 8×28 sub-tiles of
 /// `C`, which is exact: sub-tiles of the register tile share no cells
 /// and each still sums its `k` products in ascending order.
+///
+/// `tally` (attached only on observed calls) counts the leaf shape
+/// actually executed — oversized requests contribute one record per
+/// chunked sub-dispatch, so histograms never under-count dispatched
+/// tiles.
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel_dyn(
     mr: usize,
@@ -423,6 +421,7 @@ fn micro_kernel_dyn(
     accumulate: bool,
     eff_rows: usize,
     eff_cols: usize,
+    mut tally: Option<&mut TileTally>,
 ) {
     if mr > DYN_MAX_MR || nr > DYN_MAX_NR {
         for r0 in (0..mr).step_by(DYN_MAX_MR) {
@@ -449,15 +448,15 @@ fn micro_kernel_dyn(
                     accumulate,
                     sub_er,
                     sub_ec,
+                    tally.as_deref_mut(),
                 );
             }
         }
         return;
     }
-    // Telemetry: count the leaf shape actually executed — oversized
-    // requests above contribute one record per chunked sub-dispatch, so
-    // histograms never under-count dispatched tiles.
-    session::record_tile(mr, nr);
+    if let Some(t) = tally {
+        t.record(mr, nr);
+    }
     let mut acc = [[0.0f32; DYN_MAX_NR]; DYN_MAX_MR];
     if accumulate {
         for (i, row) in acc.iter_mut().enumerate().take(eff_rows) {
@@ -544,8 +543,11 @@ fn exec_tile<const MR: usize, const NRV: usize, const NR: usize>(
     accumulate: bool,
     eff_rows: usize,
     eff_cols: usize,
+    tally: Option<&mut TileTally>,
 ) {
-    session::record_tile(MR, NR);
+    if let Some(t) = tally {
+        t.record(MR, NR);
+    }
     if reference {
         micro_kernel_ref::<MR, NR>(kc, a, lda, b, ldb, c, accumulate, eff_rows, eff_cols);
     } else {
@@ -567,6 +569,7 @@ fn run_placement_impl(
     ldb: usize,
     c_block: CTile,
     accumulate: bool,
+    tally: Option<&mut TileTally>,
 ) {
     let a = &a_panel[p.row * lda..];
     let b = &b_panel[p.col..];
@@ -580,11 +583,12 @@ fn run_placement_impl(
                 $(
                     ($mr, $nrv) => exec_tile::<$mr, $nrv, $nr>(
                         reference, kc, a, lda, b, ldb, c, accumulate, p.eff_rows, p.eff_cols,
+                        tally,
                     ),
                 )*
                 _ => micro_kernel_dyn(
                     p.tile.mr, p.tile.nr, kc, a, lda, b, ldb, c, accumulate,
-                    p.eff_rows, p.eff_cols,
+                    p.eff_rows, p.eff_cols, tally,
                 ),
             }
         };
@@ -647,7 +651,7 @@ pub fn run_placement(
     c_block: CTile,
     accumulate: bool,
 ) {
-    run_placement_impl(false, p, kc, a_panel, lda, b_panel, ldb, c_block, accumulate);
+    run_placement_impl(false, p, kc, a_panel, lda, b_panel, ldb, c_block, accumulate, None);
 }
 
 /// [`run_placement`] routed to the scalar reference kernels — the
@@ -663,7 +667,7 @@ pub fn run_placement_ref(
     c_block: CTile,
     accumulate: bool,
 ) {
-    run_placement_impl(true, p, kc, a_panel, lda, b_panel, ldb, c_block, accumulate);
+    run_placement_impl(true, p, kc, a_panel, lda, b_panel, ldb, c_block, accumulate, None);
 }
 
 /// Is `(mr, nr)` one of the monomorphized menu shapes (executed by the
@@ -733,6 +737,7 @@ fn micro_kernel_edge(
 /// `eff_rows × eff_cols` for off-menu tiles — preserving each path's
 /// accumulation chains, so stored `C` cells match the packed routing
 /// bit-for-bit on fused backends.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_placement_operands(
     reference: bool,
     p: &TilePlacement,
@@ -741,6 +746,7 @@ pub(crate) fn run_placement_operands(
     b: &Operand<'_>,
     c_block: CTile,
     accumulate: bool,
+    tally: Option<&mut TileTally>,
 ) {
     let full_tile_safe = p.row + p.tile.mr <= a.avail() && p.col + p.tile.nr <= b.avail();
     if full_tile_safe {
@@ -754,6 +760,7 @@ pub(crate) fn run_placement_operands(
             b.ld(),
             c_block,
             accumulate,
+            tally,
         );
         return;
     }
@@ -763,7 +770,9 @@ pub(crate) fn run_placement_operands(
     // validated plan are disjoint.
     let c = unsafe { c_block.offset(p.row, p.col) };
     if is_menu_tile(p.tile.mr, p.tile.nr) {
-        session::record_tile(p.tile.mr, p.tile.nr);
+        if let Some(t) = tally {
+            t.record(p.tile.mr, p.tile.nr);
+        }
         micro_kernel_edge(
             kc,
             a_sl,
@@ -778,7 +787,7 @@ pub(crate) fn run_placement_operands(
     } else {
         let er = p.eff_rows.min(a.avail().saturating_sub(p.row));
         let ec = p.eff_cols.min(b.avail().saturating_sub(p.col));
-        micro_kernel_dyn(er, ec, kc, a_sl, a.ld(), b_sl, b.ld(), c, accumulate, er, ec);
+        micro_kernel_dyn(er, ec, kc, a_sl, a.ld(), b_sl, b.ld(), c, accumulate, er, ec, tally);
     }
 }
 
@@ -922,7 +931,7 @@ pub fn try_gemm_with_plan_pooled(
     threads: usize,
     pool: &PanelPool,
 ) -> Result<(), GemmError> {
-    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none())
+    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, &Supervision::none(), None)
 }
 
 /// [`try_gemm_with_plan_pooled`] under a [`Supervision`] bundle:
@@ -932,10 +941,19 @@ pub fn try_gemm_with_plan_pooled(
 /// (one predictable branch per checkpoint, no clock reads) and behavior
 /// is identical to the unsupervised call.
 ///
+/// This is the block route's one driver body. `obs` is the optional
+/// per-call observer ([`CallObserver`]): when attached, the driver
+/// stamps each phase, profiles every worker and counts packs and
+/// dispatched tiles into it; when `None` it reads no clock and records
+/// nothing. The pack and accumulation order is the same either way, so
+/// outputs are bit-identical ([`try_gemm_with_plan_report`] is the
+/// traced entry point).
+///
 /// On [`GemmError::Cancelled`]/[`GemmError::Stalled`] every panel buffer
 /// has been released back to its pool and the plan/pool/engine are
 /// immediately reusable; `C` follows the [`crate::error`] partial-write
 /// contract (untouched unless the kernel phase had started).
+#[allow(clippy::too_many_arguments)]
 pub fn try_gemm_with_plan_supervised(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -944,10 +962,14 @@ pub fn try_gemm_with_plan_supervised(
     threads: usize,
     pool: &PanelPool,
     sup: &Supervision,
+    obs: Option<&CallObserver>,
 ) -> Result<(), GemmError> {
     let s = &plan.schedule;
     let (m, n, k) = (s.m, s.n, s.k);
     error::check_operands(m, n, k, a, b, c)?;
+    if let Some(o) = obs {
+        o.update(|r| (r.m, r.n, r.k, r.mc, r.nc, r.kc) = (m, n, k, s.mc, s.nc, s.kc));
+    }
     if m == 0 || n == 0 {
         return Ok(());
     }
@@ -976,7 +998,7 @@ pub fn try_gemm_with_plan_supervised(
         monitor.begin_phase();
         let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
         let a_panels = if routing.pack_a {
-            Some(try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor)?)
+            Some(try_pack_a_panels_supervised(plan, a, threads, a_pool, &exec, &monitor, obs)?)
         } else {
             // Poll before resolving: `outcome` reports a cancellation
             // only once `should_stop` has latched it (the packed path
@@ -1002,13 +1024,15 @@ pub fn try_gemm_with_plan_supervised(
             let mut panels = b_pool.acquire_blocks(tk * tn);
             let packed = try_pack_panels_parallel(
                 &mut panels,
+                error::Operand::B,
                 threads,
                 &exec,
                 &monitor,
-                "pack B",
+                obs,
                 |idx, p| {
                     let (kb, bj) = (idx / tn, idx % tn);
                     pack_b_into(p, b, n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane);
+                    pack_traffic_bytes(s.kc, s.nc)
                 },
             );
             if let Err(e) = packed {
@@ -1036,8 +1060,17 @@ pub fn try_gemm_with_plan_supervised(
             None => BSource::Unpacked(b),
         };
         monitor.begin_phase();
-        let run =
-            try_run_blocks_cached(plan, &a_src, &b_src, c, threads, cfg.reference, &exec, &monitor);
+        let run = try_run_blocks_cached(
+            plan,
+            &a_src,
+            &b_src,
+            c,
+            threads,
+            cfg.reference,
+            &exec,
+            &monitor,
+            obs,
+        );
 
         // Buffers go back even when the run was poisoned or cancelled: a
         // contained panic never corrupts a panel buffer (they hold plain
@@ -1053,56 +1086,24 @@ pub fn try_gemm_with_plan_supervised(
     if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
         sup.observe_fault(BreakerPath::ThreadedDriver);
     }
+    if let (Ok(()), Some(o)) = (&result, obs) {
+        o.update(|r| r.fallbacks = cfg.fallbacks);
+    }
     result
 }
 
-/// [`gemm_with_plan_pooled`] with per-call telemetry: returns a
-/// [`GemmReport`] carrying the phase breakdown (pack-A, pack-B, kernel,
-/// drain), pack counts/bytes, per-thread busy profiles from the work
-/// queue, and the kernel-shape histogram actually dispatched.
+/// The block route's traced entry point: [`try_gemm_with_plan_supervised`]
+/// with a [`CallObserver`] attached, returning the [`GemmReport`] it
+/// collected — the phase breakdown (pack-A, pack-B, kernel, drain), pack
+/// counts/bytes, per-thread busy profiles from the work queue, the
+/// dispatched kernel-shape histogram and any degradations taken.
 ///
-/// The numeric path is the cached driver's, executed in the same pack and
-/// accumulation order — outputs are bit-identical to
-/// [`gemm_with_plan_pooled`] whether or not the `telemetry` feature is
-/// enabled. With the feature disabled the report's timings and counters
-/// are all zero (the clock and session hooks compile to no-ops) but its
-/// structure — shape, grid, thread count — is still filled in.
-pub fn gemm_with_plan_traced(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    pool: &PanelPool,
-) -> GemmReport {
-    match try_gemm_with_plan_traced(plan, a, b, c, threads, pool) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`gemm_with_plan_traced`]: the same validation, degenerate
-/// shapes and containment as [`try_gemm_with_plan_pooled`]. Degenerate
-/// shapes return a structurally filled report with no thread profiles
-/// (there is no parallel section to profile); degradations taken during
-/// the run land in [`GemmReport::fallbacks`].
-pub fn try_gemm_with_plan_traced(
-    plan: &ExecutionPlan,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    pool: &PanelPool,
-) -> Result<GemmReport, GemmError> {
-    try_gemm_with_plan_traced_supervised(plan, a, b, c, threads, pool, &Supervision::none())
-}
-
-/// [`try_gemm_with_plan_traced`] under a [`Supervision`] bundle — the
-/// traced twin of [`try_gemm_with_plan_supervised`], with the same
-/// cancellation points, buffer-release guarantees and breaker-fault
-/// attribution. The engine stamps the report's `health` section after the
-/// call (the driver leaves it default).
-pub fn try_gemm_with_plan_traced_supervised(
+/// Outputs are bit-identical to the untraced call. Degenerate shapes
+/// return a report with the shape and blocking filled in and no thread
+/// profiles (there is no parallel section to profile). The engine's
+/// traced front door additionally stamps `health`, `dispatch`, `pool`,
+/// `integrity` and `metrics`; this plan-level report leaves them default.
+pub fn try_gemm_with_plan_report(
     plan: &ExecutionPlan,
     a: &[f32],
     b: &[f32],
@@ -1111,273 +1112,9 @@ pub fn try_gemm_with_plan_traced_supervised(
     pool: &PanelPool,
     sup: &Supervision,
 ) -> Result<GemmReport, GemmError> {
-    let s = &plan.schedule;
-    let (m, n, k) = (s.m, s.n, s.k);
-    error::check_operands(m, n, k, a, b, c)?;
-    if m == 0 || n == 0 || k == 0 {
-        if k == 0 {
-            c.fill(0.0);
-        }
-        return Ok(GemmReport {
-            m,
-            n,
-            k,
-            threads: 0,
-            mc: s.mc,
-            nc: s.nc,
-            kc: s.kc,
-            ..GemmReport::default()
-        });
-    }
-    let (tm, tn, tk) = plan.grid();
-    let routing = plan.routing;
-    let mut cfg = RunConfig::probe(sup, threads)?;
-    let exec = Exec::new(sup, cfg.pool_inline);
-    let transient = PanelPool::new();
-
-    let sess = Arc::new(Session::new());
-    let t0 = Stamp::now();
-
-    let monitor = RunMonitor::new(sup, threads.max(1));
-    let watchdog = exec.runtime().watch(&monitor);
-    let result = (|| {
-        let pa0 = Stamp::now();
-        let a_pool = cfg.pack_pool(pool, &transient, "pack A", sup)?;
-        monitor.begin_phase();
-        let a_panels = if routing.pack_a {
-            let mut panels = a_pool.acquire_blocks(tm * tk);
-            let packed = try_pack_panels_parallel(
-                &mut panels,
-                threads,
-                &exec,
-                &monitor,
-                "pack A",
-                |idx, p| {
-                    session::with_session(&sess, || {
-                        let (bi, kb) = (idx / tk, idx % tk);
-                        pack_a_into(p, a, s.k, bi * s.mc, kb * s.kc, s.mc, s.kc, plan.sigma_lane);
-                    })
-                },
-            );
-            if let Err(e) = packed {
-                a_pool.release_blocks(panels);
-                return Err(e);
-            }
-            Some(panels)
-        } else {
-            let _ = monitor.should_stop();
-            monitor.outcome("pack A", tm * tk)?;
-            None
-        };
-        let pack_a_t = pa0.elapsed();
-        let release_a = |panels: Option<Vec<PackedBlock>>| {
-            if let Some(panels) = panels {
-                a_pool.release_blocks(panels);
-            }
-        };
-
-        let pb0 = Stamp::now();
-        let b_pool = match cfg.pack_pool(pool, &transient, "pack B", sup) {
-            Ok(p) => p,
-            Err(e) => {
-                release_a(a_panels);
-                return Err(e);
-            }
-        };
-        monitor.begin_phase();
-        let b_panels = if routing.pack_b {
-            let mut panels = b_pool.acquire_blocks(tk * tn);
-            let packed = try_pack_panels_parallel(
-                &mut panels,
-                threads,
-                &exec,
-                &monitor,
-                "pack B",
-                |idx, p| {
-                    session::with_session(&sess, || {
-                        let (kb, bj) = (idx / tn, idx % tn);
-                        pack_b_into(p, b, n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane);
-                    })
-                },
-            );
-            if let Err(e) = packed {
-                release_a(a_panels);
-                b_pool.release_blocks(panels);
-                return Err(e);
-            }
-            Some(panels)
-        } else {
-            let _ = monitor.should_stop();
-            if let Err(e) = monitor.outcome("pack B", tk * tn) {
-                release_a(a_panels);
-                return Err(e);
-            }
-            None
-        };
-        let pack_b_t = pb0.elapsed();
-
-        let owned_b = b_panels.map(|panels| BPanels::Owned { panels, tn });
-        let a_src = match &a_panels {
-            Some(panels) => ASource::Packed(panels),
-            None => ASource::Unpacked(a),
-        };
-        let b_src = match &owned_b {
-            Some(bp) => BSource::Packed(bp),
-            None => BSource::Unpacked(b),
-        };
-        monitor.begin_phase();
-        let run = try_run_blocks_traced(
-            plan,
-            &a_src,
-            &b_src,
-            c,
-            threads,
-            &sess,
-            cfg.reference,
-            &exec,
-            &monitor,
-        );
-
-        release_a(a_panels);
-        if let Some(BPanels::Owned { panels, .. }) = owned_b {
-            b_pool.release_blocks(panels);
-        }
-        let (thread_profiles, kernel, drain) = run?;
-        Ok((thread_profiles, kernel, drain, pack_a_t, pack_b_t))
-    })();
-    monitor.finish();
-    drop(watchdog);
-    if matches!(result, Err(GemmError::WorkerPanicked { .. }) | Err(GemmError::Stalled { .. })) {
-        sup.observe_fault(BreakerPath::ThreadedDriver);
-    }
-    let (thread_profiles, kernel, drain, pack_a_t, pack_b_t) = result?;
-
-    let wall = t0.elapsed();
-    let stats = sess.take();
-    Ok(GemmReport {
-        m,
-        n,
-        k,
-        threads: thread_profiles.len(),
-        mc: s.mc,
-        nc: s.nc,
-        kc: s.kc,
-        wall,
-        phases: PhaseProfile { pack_a: pack_a_t, pack_b: pack_b_t, kernel, drain },
-        packs: PackStats {
-            a_packs: stats.a_packs,
-            b_packs: stats.b_packs,
-            a_bytes: stats.a_bytes,
-            b_bytes: stats.b_bytes,
-        },
-        tiles: stats.tile_counts(),
-        thread_profiles,
-        fallbacks: cfg.fallbacks,
-        ..GemmReport::default()
-    })
-}
-
-/// The traced twin of [`run_blocks_cached`]: the same atomic-cursor drain
-/// in the same claim order, but each worker accumulates its block count
-/// and busy time into a [`ThreadProfile`] and stamps its finish so the
-/// idle tail (drain) can be charged per thread. Returns the sorted
-/// profiles, the wall/cycle span of the whole parallel section (the
-/// `kernel` phase), and the summed per-thread drain.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn try_run_blocks_traced(
-    plan: &ExecutionPlan,
-    a_src: &ASource<'_>,
-    b_src: &BSource<'_>,
-    c: &mut [f32],
-    threads: usize,
-    sess: &Arc<Session>,
-    reference: bool,
-    exec: &Exec,
-    monitor: &RunMonitor,
-) -> Result<(Vec<ThreadProfile>, PhaseTimes, PhaseTimes), GemmError> {
-    let s = &plan.schedule;
-    let (tm, tn, tk) = plan.grid();
-    let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
-
-    // SAFETY: identical ownership argument to `try_run_blocks_cached` —
-    // each (bi, bj) block is claimed by exactly one thread via the cursor.
-    let c_root = unsafe { CTile::new(c.as_mut_ptr(), s.n, c.len()) };
-    let section0 = Stamp::now();
-    let mut finished: Vec<(ThreadProfile, Stamp)> = Vec::with_capacity(threads);
-    if threads == 1 {
-        let mut prof = ThreadProfile { thread: 0, ..ThreadProfile::default() };
-        let s0 = exec.trace_begin();
-        contain(|| {
-            session::with_session(sess, || {
-                faultinject::probe(FaultSite::WorkerStartup);
-                for &(bi, bj) in &blocks {
-                    if monitor.should_stop() || !heartbeat(monitor, 0) {
-                        break;
-                    }
-                    let b0 = Stamp::now();
-                    run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                    prof.busy += b0.elapsed();
-                    prof.blocks += 1;
-                    monitor.note_done();
-                }
-            })
-        })?;
-        exec.trace_phase(0, "kernel", s0);
-        finished.push((prof, Stamp::now()));
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let poison = Poison::new();
-        let collected: Mutex<Vec<(ThreadProfile, Stamp)>> = Mutex::new(Vec::with_capacity(threads));
-        // Slot-agnostic body: a slot never reached by a pool worker (the
-        // pool was busy and slot 0 drained the cursor first) simply
-        // contributes no profile — `report.threads` counts engaged slots.
-        let body = |t: usize| {
-            let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                session::with_session(sess, || {
-                    faultinject::probe(FaultSite::WorkerStartup);
-                    loop {
-                        if poison.is_poisoned() || monitor.should_stop() {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(bi, bj)) = blocks.get(i) else { break };
-                        if !heartbeat(monitor, t) {
-                            break;
-                        }
-                        let b0 = Stamp::now();
-                        run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                        prof.busy += b0.elapsed();
-                        prof.blocks += 1;
-                        monitor.note_done();
-                    }
-                })
-            }));
-            if let Err(payload) = run {
-                poison.record(t, payload);
-            }
-            // One lock per slot lifetime — never on the block path.
-            collected.lock().push((prof, Stamp::now()));
-        };
-        exec.run_section_traced(threads, "kernel", &body);
-        poison.into_result()?;
-        finished = collected.into_inner();
-        finished.sort_by_key(|(p, _)| p.thread);
-    }
-    monitor.outcome("kernel", blocks.len())?;
-    let end = Stamp::now();
-    let kernel = section0.delta_to(end);
-    let mut drain_total = PhaseTimes::default();
-    let profiles = finished
-        .into_iter()
-        .map(|(mut p, f)| {
-            p.drain = f.delta_to(end);
-            drain_total += p.drain;
-            p
-        })
-        .collect();
-    Ok((profiles, kernel, drain_total))
+    let obs = CallObserver::new();
+    try_gemm_with_plan_supervised(plan, a, b, c, threads, pool, sup, Some(&obs))?;
+    Ok(obs.into_report())
 }
 
 /// Pack all A panels of a plan (indexed `[bi * tk + kb]`) from `pool`
@@ -1391,15 +1128,24 @@ pub(crate) fn try_pack_a_panels_supervised(
     pool: &PanelPool,
     exec: &Exec,
     monitor: &RunMonitor,
+    obs: Option<&CallObserver>,
 ) -> Result<Vec<PackedBlock>, GemmError> {
     let s = &plan.schedule;
     let (tm, _, tk) = plan.grid();
     let mut panels = pool.acquire_blocks(tm * tk);
-    let packed =
-        try_pack_panels_parallel(&mut panels, threads, exec, monitor, "pack A", |idx, p| {
+    let packed = try_pack_panels_parallel(
+        &mut panels,
+        error::Operand::A,
+        threads,
+        exec,
+        monitor,
+        obs,
+        |idx, p| {
             let (bi, kb) = (idx / tk, idx % tk);
             pack_a_into(p, a, s.k, bi * s.mc, kb * s.kc, s.mc, s.kc, plan.sigma_lane);
-        });
+            pack_traffic_bytes(s.mc, s.kc)
+        },
+    );
     match packed {
         Ok(()) => Ok(panels),
         Err(e) => {
@@ -1409,11 +1155,14 @@ pub(crate) fn try_pack_a_panels_supervised(
     }
 }
 
-/// Fill `panels[idx]` via `pack(idx, &mut panels[idx])`, draining the
-/// slot indices from a shared atomic cursor over up to `threads` pool
-/// runners (slot-agnostic, like every pool-section body: whichever
-/// runners arrive complete the phase). Small jobs stay single-threaded
-/// to skip the submission overhead.
+/// Fill `panels[idx]` via `pack(idx, &mut panels[idx])` (which returns
+/// the panel's pack traffic in bytes), draining the slot indices from a
+/// shared atomic cursor over up to `threads` pool runners
+/// (slot-agnostic, like every pool-section body: whichever runners
+/// arrive complete the phase). Small jobs stay single-threaded to skip
+/// the submission overhead. With an observer attached, the phase's wall
+/// time and the `operand`'s pack count and bytes land on it (one merge
+/// per runner).
 ///
 /// A panicking pack worker poisons the phase: the other workers stop at
 /// their next slot boundary and the first panic comes back as
@@ -1423,32 +1172,21 @@ pub(crate) fn try_pack_a_panels_supervised(
 /// [`GemmError::Cancelled`]/[`GemmError::Stalled`] with `phase`.
 fn try_pack_panels_parallel<F>(
     panels: &mut [PackedBlock],
+    operand: error::Operand,
     threads: usize,
     exec: &Exec,
     monitor: &RunMonitor,
-    phase: &'static str,
+    obs: Option<&CallObserver>,
     pack: F,
 ) -> Result<(), GemmError>
 where
-    F: Fn(usize, &mut PackedBlock) + Sync,
+    F: Fn(usize, &mut PackedBlock) -> u64 + Sync,
 {
+    let phase = if operand == error::Operand::A { "pack A" } else { "pack B" };
     let total = panels.len();
     let threads = threads.max(1).min(total.max(1));
-    if threads == 1 || total < 2 * threads {
-        let s0 = exec.trace_begin();
-        contain(|| {
-            for (idx, p) in panels.iter_mut().enumerate() {
-                if monitor.should_stop() {
-                    break;
-                }
-                pack(idx, p);
-                monitor.beat(0);
-                monitor.note_done();
-            }
-        })?;
-        exec.trace_phase(0, phase, s0);
-        return monitor.outcome(phase, total);
-    }
+    let threads = if total < 2 * threads { 1 } else { threads };
+    let phase0 = obs.map(|_| Stamp::now());
     /// Shared view of the panel slots for the cursor drain; an index is
     /// only touched by the runner that claimed it.
     struct PanelSlots {
@@ -1463,7 +1201,9 @@ where
     let slots = &slots;
     let cursor = AtomicUsize::new(0);
     let poison = Poison::new();
+    let (packed, bytes) = (AtomicU64::new(0), AtomicU64::new(0));
     let body = |t: usize| {
+        let (mut n, mut traffic) = (0u64, 0u64);
         let run = catch_unwind(AssertUnwindSafe(|| loop {
             if poison.is_poisoned() || monitor.should_stop() {
                 break;
@@ -1476,17 +1216,40 @@ where
             // so this `&mut` is exclusive; the borrow ends before
             // `run_section` returns (join-before-return).
             let p = unsafe { &mut *slots.ptr.add(idx) };
-            pack(idx, p);
+            let moved = pack(idx, p);
+            if obs.is_some() {
+                n += 1;
+                traffic += moved;
+            }
             monitor.beat(t);
             monitor.note_done();
         }));
         if let Err(payload) = run {
             poison.record(t, payload);
         }
+        if obs.is_some() {
+            packed.fetch_add(n, Ordering::Relaxed);
+            bytes.fetch_add(traffic, Ordering::Relaxed);
+        }
     };
     exec.run_section_traced(threads, phase, &body);
     poison.into_result()?;
-    monitor.outcome(phase, total)
+    monitor.outcome(phase, total)?;
+    if let (Some(o), Some(phase0)) = (obs, phase0) {
+        let (n, traffic) = (packed.into_inner(), bytes.into_inner());
+        o.update(|r| {
+            let (phase_t, count, moved) = match operand {
+                error::Operand::A => {
+                    (&mut r.phases.pack_a, &mut r.packs.a_packs, &mut r.packs.a_bytes)
+                }
+                _ => (&mut r.phases.pack_b, &mut r.packs.b_packs, &mut r.packs.b_bytes),
+            };
+            *phase_t += phase0.elapsed();
+            *count += n;
+            *moved += traffic;
+        });
+    }
+    Ok(())
 }
 
 /// Drain the `σ_order`-sorted block list through a shared atomic cursor:
@@ -1512,35 +1275,56 @@ pub(crate) fn try_run_blocks_cached(
     reference: bool,
     exec: &Exec,
     monitor: &RunMonitor,
+    obs: Option<&CallObserver>,
 ) -> Result<(), GemmError> {
     let s = &plan.schedule;
     let (tm, tn, tk) = plan.grid();
     let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
 
     // SAFETY: each (bi, bj) block is claimed by exactly one thread via the
     // cursor and the blocks partition C; CTile accesses stay within a
     // block's cells, and K is never split across threads (§V-C).
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), s.n, c.len()) };
-    if threads == 1 {
-        // The caller thread is worker 0; its panics are contained too.
-        let s0 = exec.trace_begin();
-        contain(|| {
-            faultinject::probe(FaultSite::WorkerStartup);
-            for &(bi, bj) in &blocks {
-                if monitor.should_stop() || !heartbeat(monitor, 0) {
-                    break;
-                }
-                run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
-                monitor.note_done();
-            }
-        })?;
-        exec.trace_phase(0, "kernel", s0);
-        return monitor.outcome("kernel", blocks.len());
-    }
+    try_drain_kernel(blocks.len(), threads, exec, monitor, obs, |i, tally| {
+        let (bi, bj) = blocks[i];
+        run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference, tally);
+    })
+}
+
+/// The kernel section shared by every route: drain work items
+/// `0..items` (cache blocks, or the fast paths' units) through a shared
+/// atomic cursor over up to `threads` pool runners, with the worker
+/// discipline every route needs — a startup probe, a heartbeat per
+/// claim, cancellation polls, and panic containment via [`Poison`] (the
+/// caller thread is runner 0, so a single-threaded run is contained the
+/// same way). Ends with the phase resolution
+/// (`monitor.outcome("kernel", items)`).
+///
+/// With an observer attached each runner times its items and tallies
+/// the tiles `work` dispatches, handing both over once when it leaves
+/// the section; the section's span becomes the kernel phase. Without
+/// one, `work` gets no tally and nothing is timed.
+pub(crate) fn try_drain_kernel<F>(
+    items: usize,
+    threads: usize,
+    exec: &Exec,
+    monitor: &RunMonitor,
+    obs: Option<&CallObserver>,
+    work: F,
+) -> Result<(), GemmError>
+where
+    F: Fn(usize, Option<&mut TileTally>) + Sync,
+{
+    let threads = threads.max(1).min(items.max(1));
+    let section0 = obs.map(|_| Stamp::now());
     let cursor = AtomicUsize::new(0);
     let poison = Poison::new();
+    // Slot-agnostic body: a slot never reached by a pool worker (the
+    // pool was busy and slot 0 drained the cursor first) simply
+    // contributes no profile — `report.threads` counts engaged slots.
     let body = |t: usize| {
+        let mut prof = ThreadProfile { thread: t, ..ThreadProfile::default() };
+        let mut tally = obs.map(|_| TileTally::default());
         let run = catch_unwind(AssertUnwindSafe(|| {
             faultinject::probe(FaultSite::WorkerStartup);
             loop {
@@ -1548,21 +1332,35 @@ pub(crate) fn try_run_blocks_cached(
                     break;
                 }
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(bi, bj)) = blocks.get(i) else { break };
-                if !heartbeat(monitor, t) {
+                if i >= items || !heartbeat(monitor, t) {
                     break;
                 }
-                run_block_cached(plan, a_src, b_src, c_root, bi, bj, tk, reference);
+                match tally.as_mut() {
+                    None => work(i, None),
+                    Some(tally) => {
+                        let w0 = Stamp::now();
+                        work(i, Some(tally));
+                        prof.busy += w0.elapsed();
+                        prof.blocks += 1;
+                    }
+                }
                 monitor.note_done();
             }
         }));
         if let Err(payload) = run {
             poison.record(t, payload);
         }
+        if let (Some(o), Some(tally)) = (obs, &tally) {
+            o.worker_done(prof, tally);
+        }
     };
     exec.run_section_traced(threads, "kernel", &body);
     poison.into_result()?;
-    monitor.outcome("kernel", blocks.len())
+    monitor.outcome("kernel", items)?;
+    if let (Some(o), Some(s0)) = (obs, section0) {
+        o.kernel_done(s0);
+    }
+    Ok(())
 }
 
 /// Execute all K-slices of one `C` block from cached panels
@@ -1580,6 +1378,7 @@ fn run_block_cached(
     bj: usize,
     tk: usize,
     reference: bool,
+    mut tally: Option<&mut TileTally>,
 ) {
     let s = &plan.schedule;
     // SAFETY: this thread exclusively owns the block's cells.
@@ -1589,7 +1388,16 @@ fn run_block_cached(
         let b_op = b_src.operand(s, kb, bj);
         let accumulate = kb > 0;
         for placement in &plan.block_plan.placements {
-            run_placement_operands(reference, placement, s.kc, &a_op, &b_op, c_block, accumulate);
+            run_placement_operands(
+                reference,
+                placement,
+                s.kc,
+                &a_op,
+                &b_op,
+                c_block,
+                accumulate,
+                tally.as_deref_mut(),
+            );
         }
     }
     // Chaos hook: `FaultSite::KernelCompute` is probed after the block's
@@ -1636,20 +1444,22 @@ pub fn gemm_with_plan_repack(
     c: &mut [f32],
     threads: usize,
 ) {
-    if let Err(e) = try_gemm_with_plan_repack(plan, a, b, c, threads) {
+    if let Err(e) = try_gemm_with_plan_repack(plan, a, b, c, threads, None) {
         panic!("{e}");
     }
 }
 
 /// Fallible [`gemm_with_plan_repack`]: the same validation, degenerate
 /// shapes and worker-panic containment as [`try_gemm_with_plan_pooled`]
-/// (a poisoned run stops each worker at its next block boundary).
+/// (a poisoned run stops each worker at its next block boundary). An
+/// attached observer counts every per-block pack and dispatched tile.
 pub fn try_gemm_with_plan_repack(
     plan: &ExecutionPlan,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
     threads: usize,
+    obs: Option<&CallObserver>,
 ) -> Result<(), GemmError> {
     let s = &plan.schedule;
     let (m, n, k) = (s.m, s.n, s.k);
@@ -1663,36 +1473,14 @@ pub fn try_gemm_with_plan_repack(
     }
     let (tm, tn, tk) = plan.grid();
     let blocks = block_visit_order(&s.order, tm, tn);
-    let threads = threads.max(1).min(blocks.len().max(1));
-
     // SAFETY: each (bi, bj) block is handled by exactly one thread and the
     // blocks partition C; CTile accesses stay within a block's cells.
     let c_root = unsafe { CTile::new(c.as_mut_ptr(), n, c.len()) };
-    if threads == 1 {
-        return contain(|| {
-            for &(bi, bj) in &blocks {
-                run_block(plan, a, b, c_root, bi, bj, tk);
-            }
-        });
-    }
-    let exec = Exec::unsupervised();
-    let cursor = AtomicUsize::new(0);
-    let poison = Poison::new();
-    let body = |t: usize| {
-        let run = catch_unwind(AssertUnwindSafe(|| loop {
-            if poison.is_poisoned() {
-                break;
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(bi, bj)) = blocks.get(i) else { break };
-            run_block(plan, a, b, c_root, bi, bj, tk);
-        }));
-        if let Err(payload) = run {
-            poison.record(t, payload);
-        }
-    };
-    exec.run_section(threads, &body);
-    poison.into_result()
+    let monitor = RunMonitor::new(&Supervision::none(), threads.max(1));
+    try_drain_kernel(blocks.len(), threads, &Exec::unsupervised(), &monitor, obs, |i, tally| {
+        let (bi, bj) = blocks[i];
+        run_block(plan, a, b, c_root, bi, bj, tk, obs, tally);
+    })
 }
 
 /// Visit order of the `(M_c, N_c)` block grid, following the tuned
@@ -1727,6 +1515,7 @@ pub fn block_visit_order(
 /// Execute all K-slices of one `C` block, re-packing both operand panels
 /// per slice (the [`gemm_with_plan_repack`] baseline; single-threaded by
 /// design).
+#[allow(clippy::too_many_arguments)]
 fn run_block(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -1735,6 +1524,8 @@ fn run_block(
     bi: usize,
     bj: usize,
     tk: usize,
+    obs: Option<&CallObserver>,
+    mut tally: Option<&mut TileTally>,
 ) {
     let s = &plan.schedule;
     let (mc, nc, kc) = (s.mc, s.nc, s.kc);
@@ -1751,9 +1542,20 @@ fn run_block(
         // charges the σ_packing-dependent costs).
         let pa = pack_a(a, k, row0, krow, mc, kc, plan.sigma_lane);
         let pb = pack_b(b, n, krow, col0, kc, nc, plan.sigma_lane);
+        if let Some(o) = obs {
+            o.update(|r| {
+                r.packs.a_packs += 1;
+                r.packs.a_bytes += pack_traffic_bytes(mc, kc);
+                r.packs.b_packs += 1;
+                r.packs.b_bytes += pack_traffic_bytes(kc, nc);
+            });
+        }
         let accumulate = kb > 0;
-        for placement in &plan.block_plan.placements {
-            run_placement(placement, kc, &pa.data, pa.ld, &pb.data, pb.ld, c_block, accumulate);
+        for p in &plan.block_plan.placements {
+            let t = tally.as_deref_mut();
+            run_placement_impl(
+                false, p, kc, &pa.data, pa.ld, &pb.data, pb.ld, c_block, accumulate, t,
+            );
         }
     }
 }
@@ -1896,7 +1698,7 @@ mod tests {
         let (eff_rows, eff_cols) = (7, 101);
         let mut c = vec![1.0f32; mr * nr];
         let tile = unsafe { CTile::new(c.as_mut_ptr(), nr, c.len()) };
-        micro_kernel_dyn(mr, nr, kc, &a, lda, &b, ldb, tile, true, eff_rows, eff_cols);
+        micro_kernel_dyn(mr, nr, kc, &a, lda, &b, ldb, tile, true, eff_rows, eff_cols, None);
         for i in 0..mr {
             for j in 0..nr {
                 let want = if i < eff_rows && j < eff_cols {
@@ -1913,11 +1715,17 @@ mod tests {
         }
     }
 
+    /// `try_gemm_with_plan_report` on a fresh pool with no supervision.
+    fn traced(plan: &ExecutionPlan, a: &[f32], b: &[f32], c: &mut [f32], t: usize) -> GemmReport {
+        let pool = crate::packing::PanelPool::new();
+        try_gemm_with_plan_report(plan, a, b, c, t, &pool, &Supervision::none()).expect("traced")
+    }
+
     #[test]
     fn traced_driver_bit_identical_to_untraced() {
-        // The traced driver must be a pure observer: identical pack and
-        // accumulation order, so outputs match gemm_with_plan bit-for-bit
-        // with telemetry on or off.
+        // An attached observer must be a pure observer: identical pack
+        // and accumulation order, so outputs match gemm_with_plan
+        // bit-for-bit.
         let chip = ChipSpec::graviton2();
         for (m, n, k, threads) in [(26, 36, 64, 1), (64, 196, 64, 3), (13, 20, 17, 2)] {
             let sched = tune(m, n, k, &chip);
@@ -1925,9 +1733,8 @@ mod tests {
             let (a, b) = data(m, n, k);
             let mut c_plain = vec![0.0f32; m * n];
             gemm_with_plan(&plan, &a, &b, &mut c_plain, threads);
-            let pool = crate::packing::PanelPool::new();
             let mut c_traced = vec![0.0f32; m * n];
-            let report = gemm_with_plan_traced(&plan, &a, &b, &mut c_traced, threads, &pool);
+            let report = traced(&plan, &a, &b, &mut c_traced, threads);
             assert_eq!(c_traced, c_plain, "{m}x{n}x{k} t{threads} traced path diverged bitwise");
             assert_eq!((report.m, report.n, report.k), (m, n, k));
             assert!(report.threads >= 1 && report.threads <= threads.max(1));
@@ -1937,7 +1744,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_report_counts_packs_and_tiles_exactly() {
         let chip = ChipSpec::graviton2();
@@ -1947,14 +1753,16 @@ mod tests {
         let (tm, tn, tk) = plan.grid();
         let (a, b) = data(m, n, k);
         let mut c = vec![0.0f32; m * n];
-        let pool = crate::packing::PanelPool::new();
-        let report = gemm_with_plan_traced(&plan, &a, &b, &mut c, 3, &pool);
+        let report = traced(&plan, &a, &b, &mut c, 3);
 
         // Panel-cache invariant: each A panel packed once (tm·tk), each B
-        // panel once (tk·tn) — the per-call session sees exactly those.
+        // panel once (tk·tn) — the per-call observer sees exactly those,
+        // each moving `pack_traffic_bytes` of its full panel.
+        let s = &plan.schedule;
         assert_eq!(report.packs.a_packs, (tm * tk) as u64);
         assert_eq!(report.packs.b_packs, (tk * tn) as u64);
-        assert!(report.packs.a_bytes > 0 && report.packs.b_bytes > 0);
+        assert_eq!(report.packs.a_bytes, report.packs.a_packs * pack_traffic_bytes(s.mc, s.kc));
+        assert_eq!(report.packs.b_bytes, report.packs.b_packs * pack_traffic_bytes(s.kc, s.nc));
 
         // Histogram: one record per placement dispatch per block K-slice
         // (no oversized chunking on the σ_lane = 4 menu).
@@ -1964,16 +1772,16 @@ mod tests {
             assert!(t.mr >= 1 && t.nr >= 1 && t.count > 0);
         }
 
-        // Phases: with the feature on, the clock is live.
+        // Phases: an attached observer reads live clocks.
         assert!(report.wall.wall_ns > 0, "wall clock must tick");
         assert!(report.phases.kernel.wall_ns > 0, "kernel section must tick");
+        assert!(report.phases.pack_a.wall_ns > 0 && report.phases.pack_b.wall_ns > 0);
         assert!(report.wall.wall_ns >= report.phases.kernel.wall_ns);
         for p in &report.thread_profiles {
             assert!(p.busy_fraction(report.phases.kernel) <= 1.0 + 1e-9);
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn dyn_kernel_records_chunked_subdispatches() {
         // Satellite: the oversized-tile recursive chunking path must
@@ -1987,11 +1795,9 @@ mod tests {
         let b: Vec<f32> = (0..(kc + 2) * ldb).map(|i| ((i * 7 + 2) % 19) as f32 - 9.0).collect();
         let mut c = vec![0.0f32; mr * nr];
         let tile = unsafe { CTile::new(c.as_mut_ptr(), nr, c.len()) };
-        let sess = Arc::new(Session::new());
-        session::with_session(&sess, || {
-            micro_kernel_dyn(mr, nr, kc, &a, lda, &b, ldb, tile, false, 7, 101);
-        });
-        let tiles = sess.take().tile_counts();
+        let mut tally = TileTally::default();
+        micro_kernel_dyn(mr, nr, kc, &a, lda, &b, ldb, tile, false, 7, 101, Some(&mut tally));
+        let tiles = tally.counts();
         assert_eq!(tiles.len(), 1, "all leaves share one shape bucket: {tiles:?}");
         assert_eq!((tiles[0].mr, tiles[0].nr, tiles[0].count), (8, 28, 4));
     }

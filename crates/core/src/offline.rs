@@ -10,6 +10,7 @@ use crate::error::{self, GemmError, Operand};
 use crate::packing::{pack_b, PackedBlock};
 use crate::plan::ExecutionPlan;
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
+use crate::telemetry::CallObserver;
 
 /// `B`, packed offline for a specific execution plan.
 pub struct PackedB {
@@ -25,6 +26,11 @@ impl PackedB {
     /// matrix; the cost is excluded from run-time, exactly like the
     /// paper's offline mode.
     pub fn new(plan: &ExecutionPlan, b: &[f32]) -> Self {
+        Self::pack(plan, b, None)
+    }
+
+    /// [`PackedB::new`], counting the B packs on `obs` when attached.
+    pub(crate) fn pack(plan: &ExecutionPlan, b: &[f32], obs: Option<&CallObserver>) -> Self {
         let s = &plan.schedule;
         assert_eq!(b.len(), s.k * s.n, "B must be K*N");
         let (_, tn, tk) = plan.grid();
@@ -33,6 +39,13 @@ impl PackedB {
             for bj in 0..tn {
                 panels.push(pack_b(b, s.n, kb * s.kc, bj * s.nc, s.kc, s.nc, plan.sigma_lane));
             }
+        }
+        if let Some(o) = obs {
+            let packs = (tk * tn) as u64;
+            o.update(|r| {
+                r.packs.b_packs += packs;
+                r.packs.b_bytes += packs * crate::packing::pack_traffic_bytes(s.kc, s.nc);
+            });
         }
         PackedB { panels, tn, shape: (s.m, s.n, s.k, s.nc, s.kc) }
     }
@@ -115,14 +128,16 @@ pub fn try_gemm_prepacked_pooled(
     threads: usize,
     pool: &crate::packing::PanelPool,
 ) -> Result<(), GemmError> {
-    try_gemm_prepacked_supervised(plan, a, packed_b, c, threads, pool, &Supervision::none())
+    try_gemm_prepacked_supervised(plan, a, packed_b, c, threads, pool, &Supervision::none(), None)
 }
 
 /// [`try_gemm_prepacked_pooled`] under a [`Supervision`] bundle: the
 /// offline path gets the same cancellation points (pack-A slots, kernel
 /// block claims), watchdog heartbeats and error attribution as the
 /// online driver. The pre-packed `B` panels are caller-owned and never
-/// touched on the error paths.
+/// touched on the error paths. An attached observer records the A pack
+/// phase and the kernel section exactly as the online driver does.
+#[allow(clippy::too_many_arguments)]
 pub fn try_gemm_prepacked_supervised(
     plan: &ExecutionPlan,
     a: &[f32],
@@ -131,6 +146,7 @@ pub fn try_gemm_prepacked_supervised(
     threads: usize,
     pool: &crate::packing::PanelPool,
     sup: &Supervision,
+    obs: Option<&CallObserver>,
 ) -> Result<(), GemmError> {
     packed_b.check(plan)?;
     let s = &plan.schedule;
@@ -149,8 +165,9 @@ pub fn try_gemm_prepacked_supervised(
     let watchdog = exec.runtime().watch(&monitor);
     let result = (|| {
         monitor.begin_phase();
-        let a_panels =
-            crate::native::try_pack_a_panels_supervised(plan, a, threads, pool, &exec, &monitor)?;
+        let a_panels = crate::native::try_pack_a_panels_supervised(
+            plan, a, threads, pool, &exec, &monitor, obs,
+        )?;
         monitor.begin_phase();
         let b_panels = crate::native::BPanels::Prepacked(packed_b);
         let run = crate::native::try_run_blocks_cached(
@@ -162,6 +179,7 @@ pub fn try_gemm_prepacked_supervised(
             false,
             &exec,
             &monitor,
+            obs,
         );
         pool.release_blocks(a_panels);
         run

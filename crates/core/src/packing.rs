@@ -132,15 +132,14 @@ impl PackedBlock {
     }
 }
 
-// Pack-call accounting lives in the per-call telemetry session
-// ([`crate::telemetry::session::record_pack_a`] / `record_pack_b`): the
-// panel-cache driver must pack each A panel `(bi, kb)` and each B panel
-// `(kb, bj)` exactly once per GEMM — `tm·tk` + `tk·tn` packs, not the
-// `tm·tn·tk` of a per-block repacking loop — and that invariant is
-// pinned per call by the traced drivers' [`crate::GemmReport`]
-// (`packs.a_packs` / `packs.b_packs`), race-free across concurrent
-// GEMMs. (The process-global `counters` shims that predated the session
-// API have been removed.)
+// Pack-call accounting lives with the caller: the block driver counts
+// the panels it packs on the call's
+// [`CallObserver`](crate::telemetry::CallObserver) when a traced entry
+// point attached one. The panel-cache driver must pack each A panel
+// `(bi, kb)` and each B panel `(kb, bj)` exactly once per GEMM —
+// `tm·tk` + `tk·tn` packs, not the `tm·tn·tk` of a per-block repacking
+// loop — and the traced reports (`packs.a_packs` / `packs.b_packs`) pin
+// that per call, race-free across concurrent GEMMs.
 
 /// Pack an `rows × cols` block of `src` (leading dimension `src_ld`,
 /// starting at `(row0, col0)`) into a fresh buffer with `pad_cols` extra
@@ -223,7 +222,6 @@ pub fn pack_a_into(
     kc: usize,
     sigma_lane: usize,
 ) {
-    crate::telemetry::session::record_pack_a(pack_traffic_bytes(mc, kc));
     pack_block_into(dst, a, lda, row0, col0, mc, kc, 2 * sigma_lane, 0);
 }
 
@@ -256,7 +254,6 @@ pub fn pack_b_into(
     nc: usize,
     sigma_lane: usize,
 ) {
-    crate::telemetry::session::record_pack_b(pack_traffic_bytes(kc, nc));
     pack_block_into(dst, b, ldb, row0, col0, kc, nc, sigma_lane, 2);
 }
 
@@ -461,29 +458,6 @@ mod tests {
         for b in &pool.acquire_blocks(3) {
             assert_eq!(b.data.as_ptr() as usize % PANEL_ALIGN, 0, "pooled buffer stays aligned");
         }
-    }
-
-    /// Exact per-call pack accounting via the telemetry session — the
-    /// successor of the old process-global counter check, which could
-    /// race with concurrent GEMMs from sibling tests. A session is local
-    /// to this call, so the assertion is exact regardless of what other
-    /// tests run.
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn session_counts_packs_and_bytes_per_call() {
-        use crate::telemetry::session;
-        let src = vec![1.0f32; 64];
-        let s = std::sync::Arc::new(session::Session::new());
-        session::with_session(&s, || {
-            let _ = pack_a(&src, 8, 0, 0, 4, 4, 4);
-            let _ = pack_a(&src, 8, 0, 0, 4, 4, 4);
-            let _ = pack_b(&src, 8, 0, 0, 4, 4, 4);
-        });
-        let stats = s.take();
-        assert_eq!(stats.a_packs, 2);
-        assert_eq!(stats.b_packs, 1);
-        assert_eq!(stats.a_bytes, 2 * pack_traffic_bytes(4, 4));
-        assert_eq!(stats.b_bytes, pack_traffic_bytes(4, 4));
     }
 }
 

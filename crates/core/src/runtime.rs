@@ -122,6 +122,9 @@ struct PoolShared {
     park_ns: AtomicU64,
     threads_clamped: AtomicU64,
     workers_alive: AtomicUsize,
+    /// OS threads spawned on this runtime's behalf (see
+    /// [`Runtime::threads_spawned`]).
+    spawned: AtomicU64,
     /// Runtime-lifetime wake/busy/park *distributions* (the `PoolStats`
     /// totals above stay for the schema-v4 report section; the registry
     /// adds percentiles on top).
@@ -183,6 +186,7 @@ impl WorkerPool {
             park_ns: AtomicU64::new(0),
             threads_clamped: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(0),
+            spawned: AtomicU64::new(0),
             metrics: Arc::new(MetricsRegistry::new()),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -193,7 +197,10 @@ impl WorkerPool {
                 .name(format!("autogemm-pool-{i}"))
                 .spawn(move || worker_loop(&sh));
             match spawned {
-                Ok(h) => handles.push(h),
+                Ok(h) => {
+                    shared.spawned.fetch_add(1, Ordering::Relaxed);
+                    handles.push(h);
+                }
                 // A host that cannot spawn gets a smaller pool; the
                 // caller-runs-slot-0 rule keeps every submission live.
                 Err(_) => {
@@ -402,7 +409,8 @@ impl WatchdogHub {
         }
     }
 
-    fn watch(&self, mon: &Arc<RunMonitor>) -> Option<WatchGuard> {
+    /// `spawned` counts the hub thread when this call starts it.
+    fn watch(&self, mon: &Arc<RunMonitor>, spawned: &AtomicU64) -> Option<WatchGuard> {
         let cfg = mon.watchdog_config()?;
         {
             let mut slot = forgive(self.thread.lock());
@@ -416,6 +424,7 @@ impl WatchdogHub {
                 // best-effort contract as the historical per-call
                 // `spawn_watchdog().ok()`.
                 slot.as_ref()?;
+                spawned.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.shared.registrations.fetch_add(1, Ordering::Relaxed);
@@ -583,6 +592,16 @@ impl Runtime {
         self.pool.shared.workers_alive.load(Ordering::Relaxed)
     }
 
+    /// OS threads this runtime has spawned so far: its pool workers, its
+    /// watchdog thread once a watched run starts it, and the per-call
+    /// threads of spawn-baseline sections. Exact per runtime — unlike a
+    /// process-wide thread count, other runtimes' threads never show
+    /// here — so a burst of calls that leaves it unchanged spawned
+    /// nothing.
+    pub fn threads_spawned(&self) -> u64 {
+        self.pool.shared.spawned.load(Ordering::Relaxed)
+    }
+
     /// Record one engine call whose thread request exceeded
     /// [`Runtime::capacity`] and was clamped.
     pub(crate) fn note_clamped(&self) {
@@ -592,7 +611,7 @@ impl Runtime {
     /// Register `mon` with the watchdog hub (no-op without a watchdog
     /// config). The returned guard deregisters on drop.
     pub(crate) fn watch(&self, mon: &Arc<RunMonitor>) -> Option<WatchGuard> {
-        self.hub.watch(mon)
+        self.hub.watch(mon, &self.pool.shared.spawned)
     }
 }
 
@@ -650,24 +669,10 @@ impl Exec {
         if threads <= 1 || self.inline {
             body(0);
         } else if self.scoped {
+            self.rt.pool.shared.spawned.fetch_add(threads as u64, Ordering::Relaxed);
             scoped_spawn(threads, body);
         } else {
             self.rt.pool.run(threads, body);
-        }
-    }
-
-    /// Timestamp for a manually-emitted span; 0 when untraced (the
-    /// matching [`Exec::trace_phase`] is then a no-op too).
-    pub(crate) fn trace_begin(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, |t| t.now_ns())
-    }
-
-    /// Close a span opened with [`Exec::trace_begin`] on `track`. Used
-    /// by the drivers' single-threaded paths, which run their phase
-    /// bodies inline rather than through [`Exec::run_section_traced`].
-    pub(crate) fn trace_phase(&self, track: usize, name: &'static str, start_ns: u64) {
-        if let Some(t) = &self.tracer {
-            t.push(track, name, "phase", start_ns, t.now_ns());
         }
     }
 

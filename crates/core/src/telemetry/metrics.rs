@@ -14,9 +14,9 @@
 //!
 //! ## Overhead contract
 //!
-//! Unlike the per-call tracing clocks this module is **not** behind the
-//! `telemetry` cargo feature — a service must be able to read
-//! percentiles from a release build. The costs:
+//! Unlike the per-call observer, which only traced calls attach, this
+//! module records every call — a service must be able to read
+//! percentiles from any call stream. The costs:
 //!
 //! * **disabled** (runtime toggle off): one relaxed [`AtomicBool`] load
 //!   per call — the same passive price as

@@ -1,18 +1,17 @@
-//! Per-GEMM telemetry: scoped timers, phase/thread profiles, and
+//! Per-GEMM telemetry: call observers, phase/thread profiles, and
 //! measured-vs-model cycle reports.
 //!
 //! The paper's whole pipeline — the micro-kernel cycle model (Eqns 6/8),
 //! DMT (Algorithm 1) and the tuner's Eqn-13 pruning — runs on *projected*
 //! cycle counts. This module closes the loop: every traced GEMM
-//! ([`crate::native::gemm_with_plan_traced`], or the engine front doors
-//! [`crate::AutoGemm::gemm_traced`] / `gemm_threaded_traced`) produces a
-//! [`GemmReport`] holding
+//! ([`crate::native::try_gemm_with_plan_report`], the engine's
+//! [`crate::AutoGemm::try_gemm_traced_opts`], or the service's
+//! [`crate::GemmService::submit_traced`]) produces a [`GemmReport`]
+//! holding
 //!
 //! * per-phase wall/cycle times (pack-A, pack-B, kernel, drain);
-//! * per-call pack counts and traffic bytes, accumulated race-free in
-//!   the call's own session (the long-removed process-global
-//!   `packing::counters` predecessor required one-GEMM-at-a-time
-//!   discipline);
+//! * per-call pack counts and traffic bytes, counted race-free on the
+//!   call's own observer;
 //! * per-thread block counts, busy time and drain (idle-at-the-end) time
 //!   from the work-queue driver;
 //! * the kernel-shape histogram actually dispatched — including the
@@ -23,19 +22,20 @@
 //!   yielding the measured-vs-model cycle ratio every later perf PR is
 //!   expected to cite.
 //!
-//! ## Overhead budget and the `telemetry` feature
+//! ## One driver per route, one optional observer
 //!
-//! All time sources live behind the `telemetry` cargo feature. With the
-//! feature **off** (the default), [`clock`] stamps return zero and the
-//! recording hooks in the packing/dispatch paths compile to empty
-//! `#[inline(always)]` functions — the hot paths are bit-for-bit the
-//! untraced code, and the traced drivers still run correctly but report
-//! zeroed timings/counters. With the feature **on**, the untraced drivers
-//! remain unchanged (recording hooks check a thread-local session handle
-//! that is only installed by traced calls); a traced call adds one stamp
-//! pair per phase, one per claimed block, and one histogram bump per
+//! There is no traced copy of any driver. Each route (the block driver,
+//! the GEMV/small-k fast paths, the engine front door) has one body that
+//! takes an `Option<&`[`CallObserver`]`>`. A traced entry point attaches
+//! one and builds its report from it; every other call passes `None`,
+//! and the driver then reads no clock and records nothing per panel,
+//! block, unit or tile — each hook is a single predictable branch. With
+//! an observer attached the driver takes one stamp pair per phase and
+//! per claimed block or unit, and bumps a stack-local histogram per
 //! dispatched micro-tile — all far below the work they measure (a block
-//! is `O(m_c·n_c·k)` FLOPs, a tile `O(m_r·n_r·k_c)`).
+//! is `O(m_c·n_c·k)` FLOPs, a tile `O(m_r·n_r·k_c)`). The clocks in
+//! [`clock`] are always real; only the observer decides whether they
+//! are read.
 //!
 //! ## Report schema
 //!
@@ -48,9 +48,9 @@
 
 //! ## Engine-lifetime observability
 //!
-//! Two sibling layers are **not** behind the `telemetry` feature — they
-//! are always compiled and toggled/attached at runtime, because a
-//! release-build service must still be able to read them:
+//! Two sibling layers are engine-lifetime rather than per-call — they
+//! are toggled/attached at runtime, because a release-build service must
+//! be able to read them across calls:
 //!
 //! * [`metrics`] — the engine/runtime [`MetricsRegistry`]: monotonic
 //!   counters (calls, errors, breaker transitions, retry rungs,
@@ -67,19 +67,19 @@
 pub mod clock;
 pub mod json;
 pub mod metrics;
+pub mod observer;
 pub mod report;
-pub mod session;
 pub mod tracebuf;
 
-pub use clock::{ScopedTimer, Stamp, ENABLED};
+pub use clock::Stamp;
 pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
 };
+pub use observer::CallObserver;
 pub use report::{
     DispatchStats, FallbackStats, GemmReport, HealthReport, IntegrityReport, ModelJoin, PackStats,
     PathHealth, PhaseProfile, PhaseTimes, ServiceReport, ThreadProfile, TileCount,
     MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
-pub use session::Session;
 pub use tracebuf::{TraceBuf, TraceSpan};

@@ -18,18 +18,18 @@ use autogemm_perfmodel::ProjectionTable;
 /// the queue-wait histogram of the owning
 /// [`GemmService`](crate::service::GemmService)); v7 added the
 /// `integrity` section (the output-verification policy and counters of
-/// [`crate::verify`]). Older reports are still accepted: v1 parses with
-/// an empty health section, v1/v2 with a default dispatch section,
-/// v1–v3 with a default pool section, v1–v4 with no metrics snapshot,
-/// v1–v5 with no service section, v1–v6 with no integrity section.
+/// [`crate::verify`]). This repository writes every report it reads, and
+/// every committed artifact is at this version, so older versions are
+/// rejected rather than parsed leniently.
 pub const SCHEMA_VERSION: u64 = 7;
 
-/// Oldest serialized schema version [`GemmReport::from_json`] accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
+/// Oldest serialized schema version [`GemmReport::from_json`] accepts:
+/// the current one.
+pub const MIN_SCHEMA_VERSION: u64 = SCHEMA_VERSION;
 
 /// A (wall-ns, cycle-tick) duration pair. "Cycles" are host counter
 /// ticks — see [`crate::telemetry::clock`] for the per-arch source and
-/// caveats; both fields are zero when the `telemetry` feature is off.
+/// caveats; both fields are zero for phases the call did not run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     pub wall_ns: u64,
@@ -63,8 +63,8 @@ pub struct PhaseProfile {
     pub drain: PhaseTimes,
 }
 
-/// Per-call pack counts and traffic, accumulated in the call's own
-/// telemetry session (race-free across concurrent GEMMs).
+/// Per-call pack counts and traffic, accumulated on the call's own
+/// observer (race-free across concurrent GEMMs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackStats {
     pub a_packs: u64,
@@ -99,9 +99,8 @@ impl ThreadProfile {
 }
 
 /// Graceful degradations taken during one run (see `crate::error` for
-/// the degradation policy). Unlike the timing counters these are live
-/// regardless of the `telemetry` feature — the traced driver records its
-/// own setup decisions, no clock or session hook involved.
+/// the degradation policy): the driver's own setup decisions, no clock
+/// involved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FallbackStats {
     /// Pack phases that bypassed the caller's panel pool (degraded to
@@ -113,11 +112,10 @@ pub struct FallbackStats {
     pub scalar_kernels: u64,
     /// Degradations imposed by the engine's circuit breaker (quarantined
     /// paths rerouted before the run started), counted per rerouted
-    /// path. Schema v2.
+    /// path.
     pub breaker_reroutes: u64,
     /// Threaded sections drained inline on the calling thread instead of
     /// the worker pool (a degraded or quarantined pool-submit path).
-    /// Schema v4.
     pub inline_drains: u64,
 }
 
@@ -235,8 +233,8 @@ pub struct ModelJoin {
     pub projected_kernel_cycles: f64,
     /// Σ of worker busy cycle ticks.
     pub measured_kernel_cycles: u64,
-    /// measured / projected; 0 when either side is unavailable (e.g. the
-    /// `telemetry` feature is off).
+    /// measured / projected; 0 when either side is unavailable (e.g. a
+    /// report with no kernel section).
     pub cycle_ratio: f64,
 }
 
@@ -397,25 +395,23 @@ pub struct GemmReport {
     pub tiles: Vec<TileCount>,
     /// Degradation paths taken during the run.
     pub fallbacks: FallbackStats,
-    /// Circuit-breaker snapshot and this call's transitions (schema v2;
-    /// empty when parsed from a v1 report).
+    /// Circuit-breaker snapshot and this call's transitions (empty for
+    /// the engine-less plan-level drivers).
     pub health: HealthReport,
-    /// Input-aware dispatch decisions (schema v3; defaults — block
-    /// route, both operands packed — when parsed from older reports).
+    /// Input-aware dispatch decisions (defaults — block route, both
+    /// operands packed — for the plan-level drivers).
     pub dispatch: DispatchStats,
-    /// Worker-pool runtime counters at report time (schema v4; all-zero
-    /// defaults when parsed from older reports).
+    /// Worker-pool runtime counters at report time.
     pub pool: PoolStats,
     /// The owning engine's lifetime metrics snapshot at report time
-    /// (schema v5; `None` when parsed from older reports or produced by
-    /// the engine-less plan-level drivers).
+    /// (`None` when produced by the engine-less plan-level drivers).
     pub metrics: Option<MetricsSnapshot>,
-    /// Admission-control snapshot of the owning service (schema v6;
-    /// `None` when parsed from older reports or when the engine is not
-    /// fronted by a [`GemmService`](crate::service::GemmService)).
+    /// Admission-control snapshot of the owning service (`None` when the
+    /// engine is not fronted by a
+    /// [`GemmService`](crate::service::GemmService)).
     pub service: Option<ServiceReport>,
-    /// Output-integrity snapshot (schema v7; `None` when parsed from
-    /// older reports or produced by the engine-less plan-level drivers).
+    /// Output-integrity snapshot (`None` when produced by the engine-less
+    /// plan-level drivers).
     pub integrity: Option<IntegrityReport>,
     pub model: Option<ModelJoin>,
 }
@@ -744,125 +740,87 @@ impl GemmReport {
             Some(fb) => FallbackStats {
                 pool_packs: fb.get("pool_packs").and_then(Json::as_u64).unwrap_or(0),
                 scalar_kernels: fb.get("scalar_kernels").and_then(Json::as_u64).unwrap_or(0),
-                // Schema v2; absent in v1 reports.
                 breaker_reroutes: fb.get("breaker_reroutes").and_then(Json::as_u64).unwrap_or(0),
-                // Schema v4; absent in v1–v3 reports.
                 inline_drains: fb.get("inline_drains").and_then(Json::as_u64).unwrap_or(0),
             },
         };
 
-        // Schema v2. A v1 report has no `health` section; it parses as
-        // empty so downstream joins see "no breaker data" rather than an
-        // error. Within the section, unknown/missing numeric fields
-        // default to zero the same way `fallbacks` always has.
-        let health = match v.get("health") {
-            None | Some(Json::Null) => HealthReport::default(),
-            Some(h) => HealthReport {
-                paths: h
-                    .get("paths")
-                    .and_then(Json::as_arr)
-                    .map(|paths| {
-                        paths
-                            .iter()
-                            .map(|p| PathHealth {
-                                path: p
-                                    .get("path")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or_default()
-                                    .to_string(),
-                                state: p
-                                    .get("state")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or_default()
-                                    .to_string(),
-                                consecutive_faults: p
-                                    .get("consecutive_faults")
-                                    .and_then(Json::as_u64)
-                                    .unwrap_or(0),
-                                total_faults: p
-                                    .get("total_faults")
-                                    .and_then(Json::as_u64)
-                                    .unwrap_or(0),
-                                trips: p.get("trips").and_then(Json::as_u64).unwrap_or(0),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                transitions: h
-                    .get("transitions")
-                    .and_then(Json::as_arr)
-                    .map(|ts| ts.iter().filter_map(|t| t.as_str().map(str::to_string)).collect())
-                    .unwrap_or_default(),
-            },
+        // The sections below are mandatory; within a section, missing
+        // numeric fields default to zero the same way `fallbacks` does.
+        let h = field("health")?;
+        let health = HealthReport {
+            paths: h
+                .get("paths")
+                .and_then(Json::as_arr)
+                .map(|paths| {
+                    paths
+                        .iter()
+                        .map(|p| PathHealth {
+                            path: p
+                                .get("path")
+                                .and_then(Json::as_str)
+                                .unwrap_or_default()
+                                .to_string(),
+                            state: p
+                                .get("state")
+                                .and_then(Json::as_str)
+                                .unwrap_or_default()
+                                .to_string(),
+                            consecutive_faults: p
+                                .get("consecutive_faults")
+                                .and_then(Json::as_u64)
+                                .unwrap_or(0),
+                            total_faults: p.get("total_faults").and_then(Json::as_u64).unwrap_or(0),
+                            trips: p.get("trips").and_then(Json::as_u64).unwrap_or(0),
+                        })
+                        .collect()
+                })
+                .unwrap_or_default(),
+            transitions: h
+                .get("transitions")
+                .and_then(Json::as_arr)
+                .map(|ts| ts.iter().filter_map(|t| t.as_str().map(str::to_string)).collect())
+                .unwrap_or_default(),
         };
 
-        // Schema v3. Pre-v3 reports have no `dispatch` section; the
-        // defaults (block route, both operands packed) are what those
-        // builds actually did, so the parse is lenient *and* honest.
-        let dispatch = match v.get("dispatch") {
-            None | Some(Json::Null) => DispatchStats::default(),
-            Some(d) => {
-                let defaults = DispatchStats::default();
-                DispatchStats {
-                    route: d
-                        .get("route")
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .unwrap_or(defaults.route),
-                    packed_a: d.get("packed_a").and_then(Json::as_bool).unwrap_or(true),
-                    packed_b: d.get("packed_b").and_then(Json::as_bool).unwrap_or(true),
-                    plan_cache_hit: d
-                        .get("plan_cache_hit")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false),
-                    plan_cache_hits: d.get("plan_cache_hits").and_then(Json::as_u64).unwrap_or(0),
-                    plan_cache_misses: d
-                        .get("plan_cache_misses")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                }
-            }
+        let d = field("dispatch")?;
+        let flag = |key: &str| d.get(key).and_then(Json::as_bool).unwrap_or(false);
+        let dispatch = DispatchStats {
+            route: d.get("route").and_then(Json::as_str).unwrap_or_default().to_string(),
+            packed_a: flag("packed_a"),
+            packed_b: flag("packed_b"),
+            plan_cache_hit: flag("plan_cache_hit"),
+            plan_cache_hits: d.get("plan_cache_hits").and_then(Json::as_u64).unwrap_or(0),
+            plan_cache_misses: d.get("plan_cache_misses").and_then(Json::as_u64).unwrap_or(0),
         };
 
-        // Schema v4. Pre-v4 reports have no `pool` section: no pool
-        // existed, so all-zero counters are the honest default.
-        let pool = match v.get("pool") {
-            None | Some(Json::Null) => PoolStats::default(),
-            Some(p) => {
-                let num = |key: &str| p.get(key).and_then(Json::as_u64).unwrap_or(0);
-                PoolStats {
-                    workers: num("workers"),
-                    alive_workers: num("alive_workers"),
-                    submissions: num("submissions"),
-                    jobs_completed: num("jobs_completed"),
-                    wake_count: num("wake_count"),
-                    wake_ns_total: num("wake_ns_total"),
-                    busy_ns_total: num("busy_ns_total"),
-                    park_ns_total: num("park_ns_total"),
-                    threads_clamped: num("threads_clamped"),
-                }
-            }
+        let p = field("pool")?;
+        let num = |key: &str| p.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let pool = PoolStats {
+            workers: num("workers"),
+            alive_workers: num("alive_workers"),
+            submissions: num("submissions"),
+            jobs_completed: num("jobs_completed"),
+            wake_count: num("wake_count"),
+            wake_ns_total: num("wake_ns_total"),
+            busy_ns_total: num("busy_ns_total"),
+            park_ns_total: num("park_ns_total"),
+            threads_clamped: num("threads_clamped"),
         };
 
-        // Schema v5. Pre-v5 reports carried no engine-lifetime metrics;
-        // `None` says "no snapshot" rather than inventing zeros.
-        let metrics = match v.get("metrics") {
-            None | Some(Json::Null) => None,
-            Some(m) => Some(MetricsSnapshot::from_json_value(m)),
+        // Nullable sections: `null` says "not produced by this call"
+        // (no engine, no service, no verification layer in front).
+        let metrics = match field("metrics")? {
+            Json::Null => None,
+            m => Some(MetricsSnapshot::from_json_value(m)),
         };
-
-        // Schema v6. Pre-v6 reports predate the service layer entirely;
-        // `None` says "no admission control" rather than inventing zeros.
-        let service = match v.get("service") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(ServiceReport::from_json_value(s)),
+        let service = match field("service")? {
+            Json::Null => None,
+            s => Some(ServiceReport::from_json_value(s)),
         };
-
-        // Schema v7. Pre-v7 reports predate the verification layer;
-        // `None` says "no integrity data" rather than inventing zeros.
-        let integrity = match v.get("integrity") {
-            None | Some(Json::Null) => None,
-            Some(i) => Some(IntegrityReport::from_json_value(i)),
+        let integrity = match field("integrity")? {
+            Json::Null => None,
+            i => Some(IntegrityReport::from_json_value(i)),
         };
 
         let model = match field("model")? {
@@ -1018,12 +976,6 @@ mod tests {
         }
     }
 
-    /// The exact serialization of an all-zero `pool` section, as the v3
-    /// and older fixtures need to strip it.
-    const DEFAULT_POOL_JSON: &str = "\"pool\":{\"workers\":0,\"alive_workers\":0,\
-         \"submissions\":0,\"jobs_completed\":0,\"wake_count\":0,\"wake_ns_total\":0,\
-         \"busy_ns_total\":0,\"park_ns_total\":0,\"threads_clamped\":0},";
-
     #[test]
     fn json_round_trip_is_lossless() {
         let r = sample_report();
@@ -1070,178 +1022,6 @@ mod tests {
         let mut want = sample_report();
         want.fallbacks = FallbackStats::default();
         assert_eq!(back, want);
-    }
-
-    #[test]
-    fn v1_report_parses_with_empty_health() {
-        // A schema-v1 report: version 1, no `health` section, and a
-        // fallbacks object without `breaker_reroutes`.
-        let mut r = sample_report();
-        r.health = HealthReport::default();
-        r.fallbacks.breaker_reroutes = 0;
-        r.pool = PoolStats::default();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":1")
-            .replace(",\"breaker_reroutes\":0,\"inline_drains\":0", "")
-            .replace("\"health\":{\"paths\":[],\"transitions\":[]},", "")
-            .replace(DEFAULT_POOL_JSON, "");
-        assert!(!text.contains("health"), "v1 fixture must not carry a health section");
-        let back = GemmReport::from_json(&text).expect("v1 report must parse leniently");
-        assert_eq!(back.health, HealthReport::default());
-        assert!(back.health.all_closed(), "empty health section counts as all-closed");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v2_report_parses_with_default_dispatch() {
-        // A schema-v2 report: version 2, no `dispatch` section. It must
-        // parse with the pre-v3 behaviour spelled out: block route,
-        // both operands packed, no plan-cache data.
-        let mut r = sample_report();
-        r.dispatch = DispatchStats::default();
-        r.pool = PoolStats::default();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":2")
-            .replace(
-                "\"dispatch\":{\"route\":\"block\",\"packed_a\":true,\"packed_b\":true,\
-                 \"plan_cache_hit\":false,\"plan_cache_hits\":0,\"plan_cache_misses\":0},",
-                "",
-            )
-            .replace(DEFAULT_POOL_JSON, "");
-        // Note: "simd_dispatch" in the health section also contains the
-        // substring, so check for the key specifically.
-        assert!(!text.contains("\"dispatch\""), "v2 fixture must not carry a dispatch section");
-        let back = GemmReport::from_json(&text).expect("v2 report must parse leniently");
-        assert_eq!(back.dispatch, DispatchStats::default());
-        assert!(back.dispatch.packed_a && back.dispatch.packed_b);
-        assert_eq!(back.dispatch.route, "block");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v3_report_parses_with_default_pool() {
-        // A schema-v3 report: version 3, no `pool` section and no
-        // `fallbacks.inline_drains` counter — no worker pool existed, so
-        // all-zero counters are the honest parse.
-        let mut r = sample_report();
-        r.pool = PoolStats::default();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":3")
-            .replace(",\"inline_drains\":0", "")
-            .replace(DEFAULT_POOL_JSON, "");
-        // "pool_packs"/"pool_alloc" also contain the substring, so check
-        // for the section key specifically.
-        assert!(!text.contains("\"pool\":"), "v3 fixture must not carry a pool section");
-        assert!(!text.contains("inline_drains"), "v3 fixture must not carry inline_drains");
-        let back = GemmReport::from_json(&text).expect("v3 report must parse leniently");
-        assert_eq!(back.pool, PoolStats::default());
-        assert_eq!(back.fallbacks.inline_drains, 0);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v4_report_parses_with_default_metrics() {
-        // A schema-v4 report: version 4, no `metrics` section — no
-        // engine-lifetime registry existed, so `None` is the honest
-        // parse (not invented zeros).
-        let r = sample_report();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":4")
-            .replace("\"metrics\":null,", "");
-        assert!(!text.contains("\"metrics\""), "v4 fixture must not carry a metrics section");
-        let back = GemmReport::from_json(&text).expect("v4 report must parse leniently");
-        assert_eq!(back.metrics, None);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v5_report_parses_with_no_service_section() {
-        // A schema-v5 report: version 5, no `service` section — no
-        // admission layer existed, so `None` is the honest parse.
-        let r = sample_report();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":5")
-            .replace("\"service\":null,", "");
-        assert!(!text.contains("\"service\""), "v5 fixture must not carry a service section");
-        let back = GemmReport::from_json(&text).expect("v5 report must parse leniently");
-        assert_eq!(back.service, None);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn v6_report_parses_with_no_integrity_section() {
-        // A schema-v6 report: version 6, no `integrity` section — no
-        // verification layer existed, so `None` is the honest parse.
-        let r = sample_report();
-        let text = r
-            .to_json()
-            .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":6")
-            .replace("\"integrity\":null,", "");
-        assert!(!text.contains("\"integrity\""), "v6 fixture must not carry an integrity section");
-        let back = GemmReport::from_json(&text).expect("v6 report must parse leniently");
-        assert_eq!(back.integrity, None);
-        assert_eq!(back, r);
-    }
-
-    /// Every historical version fixture (v1–v6, built by stripping the
-    /// sections that version lacked) survives a parse → serialize →
-    /// parse round trip under the current schema.
-    #[test]
-    fn v1_through_v6_fixtures_round_trip_through_current_schema() {
-        let full = sample_report().to_json();
-        let strip_integrity = full.replace("\"integrity\":null,", "");
-        let strip_service = strip_integrity.replace("\"service\":null,", "");
-        let strip_metrics = strip_service.replace("\"metrics\":null,", "");
-        let strip_pool = strip_metrics
-            .replace(DEFAULT_POOL_JSON, "")
-            .replace(
-                "\"pool\":{\"workers\":3,\"alive_workers\":3,\"submissions\":42,\
-                 \"jobs_completed\":42,\"wake_count\":120,\"wake_ns_total\":84000,\
-                 \"busy_ns_total\":9000000,\"park_ns_total\":2000000,\"threads_clamped\":1},",
-                "",
-            )
-            .replace(",\"inline_drains\":0", "");
-        let strip_dispatch = strip_pool.replace(
-            "\"dispatch\":{\"route\":\"block\",\"packed_a\":false,\"packed_b\":true,\
-             \"plan_cache_hit\":true,\"plan_cache_hits\":7,\"plan_cache_misses\":3},",
-            "",
-        );
-        let strip_health = strip_dispatch
-            .replace(",\"breaker_reroutes\":2", "")
-            .replace(&regex_free_health(&full), "");
-        let fixtures: [(u64, &str); 6] = [
-            (1, &strip_health),
-            (2, &strip_dispatch),
-            (3, &strip_pool),
-            (4, &strip_metrics),
-            (5, &strip_service),
-            (6, &strip_integrity),
-        ];
-        for (version, fixture) in fixtures {
-            let text = fixture.replace(
-                &format!("\"schema_version\":{SCHEMA_VERSION}"),
-                &format!("\"schema_version\":{version}"),
-            );
-            let once = GemmReport::from_json(&text)
-                .unwrap_or_else(|e| panic!("v{version} fixture must parse: {e}"));
-            let twice = GemmReport::from_json(&once.to_json())
-                .unwrap_or_else(|e| panic!("v{version} reserialization must parse: {e}"));
-            assert_eq!(once, twice, "v{version} fixture did not round-trip");
-        }
-    }
-
-    /// The serialized `health` section of [`sample_report`], extracted
-    /// from the full serialization so the v1 fixture can strip it
-    /// without hand-maintaining the string.
-    fn regex_free_health(full: &str) -> String {
-        let start = full.find("\"health\":").expect("health section present");
-        let end = full[start..].find(",\"dispatch\"").expect("dispatch follows health") + start + 1;
-        full[start..end].to_string()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `Result` plumbing is bit-identical to the classic panicking path.
 
 use autogemm::error::Operand;
-use autogemm::{AutoGemm, GemmBatch, GemmError, PackedB};
+use autogemm::{AutoGemm, GemmBatch, GemmError, GemmOptions, PackedB};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 
@@ -113,7 +113,9 @@ fn c_is_untouched_when_validation_fails() {
     let mut c = sentinel.clone();
     assert!(engine.try_gemm(m, n, k, &a, &bad_b, &mut c).is_err());
     assert_eq!(c, sentinel, "C must be untouched on a validation error");
-    assert!(engine.try_gemm_threaded(m, n, k, &a, &bad_b, &mut c, 4).is_err());
+    assert!(engine
+        .try_gemm_opts(m, n, k, &a, &bad_b, &mut c, &GemmOptions::new().threads(4))
+        .is_err());
     assert_eq!(c, sentinel);
 }
 
@@ -152,7 +154,9 @@ fn zero_dim_gemm_early_returns() {
     // m == 0 / n == 0: nothing to do, C is empty.
     let mut empty: Vec<f32> = vec![];
     engine.gemm(0, 5, 4, &[], &[0.0; 20], &mut empty);
-    engine.gemm_threaded(7, 0, 4, &[0.0; 28], &[], &mut empty, 4);
+    engine
+        .try_gemm_opts(7, 0, 4, &[0.0; 28], &[], &mut empty, &GemmOptions::new().threads(4))
+        .unwrap();
     engine.try_gemm(0, 0, 0, &[], &[], &mut empty).unwrap();
 
     // k == 0: the product is the zero matrix, so C is zeroed.
@@ -162,7 +166,7 @@ fn zero_dim_gemm_early_returns() {
     assert!(c.iter().all(|&v| v == 0.0), "k == 0 must zero C");
 
     let mut c: Vec<f32> = (0..m * n).map(|i| -(i as f32)).collect();
-    engine.try_gemm_threaded(m, n, 0, &[], &[], &mut c, 3).unwrap();
+    engine.try_gemm_opts(m, n, 0, &[], &[], &mut c, &GemmOptions::new().threads(3)).unwrap();
     assert!(c.iter().all(|&v| v == 0.0));
 }
 
@@ -170,11 +174,15 @@ fn zero_dim_gemm_early_returns() {
 fn zero_dim_traced_reports_the_shape() {
     let engine = AutoGemm::new(ChipSpec::m2());
     let mut c: Vec<f32> = vec![3.0; 4 * 5];
-    let report = engine.try_gemm_traced(4, 5, 0, &[], &[], &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(4, 5, 0, &[], &[], &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert_eq!((report.m, report.n, report.k), (4, 5, 0));
     assert!(c.iter().all(|&v| v == 0.0));
     let mut empty: Vec<f32> = vec![];
-    let report = engine.try_gemm_traced(0, 5, 7, &[], &[0.0; 35], &mut empty, 1).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(0, 5, 7, &[], &[0.0; 35], &mut empty, &GemmOptions::new().threads(1))
+        .unwrap();
     assert_eq!((report.m, report.n, report.k), (0, 5, 7));
 }
 
@@ -232,12 +240,15 @@ fn try_gemm_is_bit_identical_to_gemm() {
         let mut c_try = vec![0.0f32; m * n];
         engine.try_gemm(m, n, k, &a, &b, &mut c_try).unwrap();
         assert_eq!(c_try, c_classic, "{m}x{n}x{k}: try path diverged");
+        // Threaded calls have one front door: its first (plan-cache
+        // miss) and repeated (hit) calls must agree bit for bit.
         for threads in [2usize, 8] {
-            let mut c_t_classic = vec![0.0f32; m * n];
-            engine.gemm_threaded(m, n, k, &a, &b, &mut c_t_classic, threads);
-            let mut c_t_try = vec![0.0f32; m * n];
-            engine.try_gemm_threaded(m, n, k, &a, &b, &mut c_t_try, threads).unwrap();
-            assert_eq!(c_t_try, c_t_classic, "{m}x{n}x{k} t{threads}");
+            let opts = GemmOptions::new().threads(threads);
+            let mut c_t_first = vec![0.0f32; m * n];
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c_t_first, &opts).unwrap();
+            let mut c_t_repeat = vec![0.0f32; m * n];
+            engine.try_gemm_opts(m, n, k, &a, &b, &mut c_t_repeat, &opts).unwrap();
+            assert_eq!(c_t_repeat, c_t_first, "{m}x{n}x{k} t{threads}");
         }
     }
 }
@@ -286,7 +297,9 @@ fn differential_fuzz_against_naive() {
         naive_gemm(m, n, k, &a, &b, &mut want);
         for threads in [1usize, 4] {
             let mut c = vec![0.0f32; m * n];
-            engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, threads).unwrap();
+            engine
+                .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(threads))
+                .unwrap();
             let err = max_rel_error(&c, &want);
             assert!(err < 1e-5, "{m}x{n}x{k} t{threads}: rel err {err}");
         }

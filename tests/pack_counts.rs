@@ -3,23 +3,17 @@
 //! The cached driver packs each A panel `(bi, kb)` and each B panel
 //! `(kb, bj)` exactly once per GEMM — `tm·tk` + `tk·tn` packs — while the
 //! historical per-block path packs `2·tm·tn·tk` times. These tests pin
-//! both counts through the session-stats API: the traced drivers'
-//! per-call `GemmReport` (`packs.a_packs` / `packs.b_packs`) and, for
-//! paths without a traced twin, an explicitly installed telemetry
-//! session scope. Both are race-free across concurrent GEMMs, so unlike
-//! the removed process-global `packing::counters` the tests below can be
-//! independent `#[test]`s.
-//!
-//! The counters only tick with the `telemetry` feature armed (ci.sh runs
-//! this file under the telemetry config); without it the whole file
-//! compiles to nothing.
-#![cfg(feature = "telemetry")]
+//! both counts through a per-call `CallObserver`: the traced entry
+//! points' `GemmReport` (`packs.a_packs` / `packs.b_packs`) and, for the
+//! plan-level paths (the repack baseline, offline prepack, batches), an
+//! observer handed to the driver directly. Observers are race-free
+//! across concurrent GEMMs, so unlike the removed process-global
+//! `packing::counters` the tests below can be independent `#[test]`s.
 
-use std::sync::Arc;
-
-use autogemm::native::{gemm_with_plan_repack, gemm_with_plan_traced};
-use autogemm::telemetry::{session, Session};
-use autogemm::{ExecutionPlan, PackedB, PanelPool};
+use autogemm::native::{try_gemm_with_plan_repack, try_gemm_with_plan_report};
+use autogemm::supervisor::Supervision;
+use autogemm::telemetry::CallObserver;
+use autogemm::{ExecutionPlan, GemmOptions, PackedB, PanelPool};
 use autogemm_arch::ChipSpec;
 use autogemm_tuner::tune;
 
@@ -34,26 +28,29 @@ fn data(m: usize, n: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
     (a, b)
 }
 
-/// Count packs done by `f` on the calling thread (single-threaded paths
-/// without a traced twin: offline prepack, the repack baseline).
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let sess = Arc::new(Session::new());
-    let out = session::with_session(&sess, f);
-    let stats = sess.take();
-    (out, stats.a_packs, stats.b_packs)
+/// Count the packs `f` does on the observer it is handed (plan-level
+/// paths that take an observer directly: offline prepack, batches, the
+/// repack baseline).
+fn counted<R>(f: impl FnOnce(&CallObserver) -> R) -> (R, u64, u64) {
+    let obs = CallObserver::new();
+    let out = f(&obs);
+    let packs = obs.into_report().packs;
+    (out, packs.a_packs, packs.b_packs)
 }
 
 #[test]
 fn cached_driver_packs_each_panel_once() {
     // (tm + tn)·tk packs per GEMM, at any thread count — read from the
-    // traced driver's own report, which merges every worker's tally.
+    // traced entry point's own report, which merges every worker's tally.
     for (m, n, k, threads) in [(64, 196, 64, 1), (64, 196, 64, 4), (52, 72, 32, 3), (8, 8, 8, 16)] {
         let plan = plan_for(m, n, k);
         let (tm, tn, tk) = plan.grid();
         let (a, b) = data(m, n, k);
         let mut c = vec![0.0f32; m * n];
         let pool = PanelPool::new();
-        let report = gemm_with_plan_traced(&plan, &a, &b, &mut c, threads, &pool);
+        let sup = Supervision::none();
+        let report =
+            try_gemm_with_plan_report(&plan, &a, &b, &mut c, threads, &pool, &sup).unwrap();
         assert_eq!(
             report.packs.a_packs,
             (tm * tk) as u64,
@@ -71,35 +68,48 @@ fn cached_driver_packs_each_panel_once() {
 fn repack_baseline_packs_per_block() {
     // The historical repack path really does O(tm·tn·tk) packs of each
     // operand (kept as the benchmark baseline; this documents the
-    // contrast the panel cache eliminates). Single-threaded so every
-    // pack lands on the calling thread's session scope.
+    // contrast the panel cache eliminates).
     let (m, n, k) = (64, 196, 64);
     let plan = plan_for(m, n, k);
     let (tm, tn, tk) = plan.grid();
     let (a, b) = data(m, n, k);
     let mut c = vec![0.0f32; m * n];
-    let ((), a_packs, b_packs) = counted(|| gemm_with_plan_repack(&plan, &a, &b, &mut c, 1));
+    let (run, a_packs, b_packs) =
+        counted(|obs| try_gemm_with_plan_repack(&plan, &a, &b, &mut c, 1, Some(obs)));
+    run.unwrap();
     assert_eq!(a_packs, (tm * tn * tk) as u64);
     assert_eq!(b_packs, (tm * tn * tk) as u64);
 }
 
 #[test]
 fn offline_prepacked_b_is_never_repacked() {
-    // PackedB::new pays tk·tn B packs once; each prepacked GEMM
-    // afterwards packs only A (tm·tk), and B never again.
+    // PackedB::new holds the tk·tn B panels packed once; each prepacked
+    // GEMM afterwards packs only A (tm·tk), and B never again.
     let (m, n, k) = (48, 96, 32);
     let plan = plan_for(m, n, k);
     let (tm, tn, tk) = plan.grid();
     let (a, b) = data(m, n, k);
-    let (packed, a0, b0) = counted(|| PackedB::new(&plan, &b));
-    assert_eq!(b0, (tk * tn) as u64, "offline B pack cost");
-    assert_eq!(a0, 0);
+    let packed = PackedB::new(&plan, &b);
+    let s = &plan.schedule;
+    let panel_bytes = (s.kc + 2) * (s.nc + plan.sigma_lane) * 4;
+    assert_eq!(packed.bytes(), tk * tn * panel_bytes, "offline B pack cost: tk·tn panels");
     let pool = PanelPool::new();
     for _ in 0..3 {
         let mut c = vec![0.0f32; m * n];
-        let ((), a_packs, b_packs) = counted(|| {
-            autogemm::offline::gemm_prepacked_pooled(&plan, &a, &packed, &mut c, 1, &pool)
+        let (run, a_packs, b_packs) = counted(|obs| {
+            let sup = Supervision::none();
+            autogemm::offline::try_gemm_prepacked_supervised(
+                &plan,
+                &a,
+                &packed,
+                &mut c,
+                1,
+                &pool,
+                &sup,
+                Some(obs),
+            )
         });
+        run.unwrap();
         assert_eq!(a_packs, (tm * tk) as u64);
         assert_eq!(b_packs, 0, "prepacked B must never be re-packed");
     }
@@ -107,11 +117,10 @@ fn offline_prepacked_b_is_never_repacked() {
 
 #[test]
 fn batch_with_shared_b_packs_it_once() {
-    // One offline pack of B for the whole batch (tk·tn), done upfront on
-    // the calling thread. A single-threaded batch drains every item on
-    // the caller too (the pool runtime hands nothing off at threads=1),
-    // so each item's A panels are packed exactly once — items·tm·tk in
-    // this thread's session scope — and the shared B never re-packs.
+    // One offline pack of B for the whole batch (tk·tn), done upfront.
+    // Each item's A panels are packed exactly once — items·tm·tk on the
+    // batch's observer, at any thread count — and the shared B never
+    // re-packs.
     let (m, n, k, items) = (8usize, 12usize, 16usize, 5usize);
     let plan = plan_for(m, n, k);
     let (tm, tn, tk) = plan.grid();
@@ -122,14 +131,18 @@ fn batch_with_shared_b_packs_it_once() {
     for a in &a_store {
         batch.push(a, &b_shared);
     }
+    for threads in [1usize, 3] {
+        let mut c = vec![0.0f32; items * m * n];
+        let (run, a_packs, b_packs) = counted(|obs| {
+            let sup = Supervision::none();
+            autogemm::try_gemm_batch_supervised(&plan, &batch, &mut c, threads, &sup, Some(obs))
+        });
+        run.unwrap();
+        assert_eq!(b_packs, (tk * tn) as u64, "batch sharing one B must pack it exactly once");
+        assert_eq!(a_packs, (items * tm * tk) as u64, "t{threads}: each item's A packed once");
+    }
     let mut c = vec![0.0f32; items * m * n];
-    let ((), a_packs, b_packs) = counted(|| autogemm::gemm_batch(&plan, &batch, &mut c, 1));
-    assert_eq!(b_packs, (tk * tn) as u64, "batch sharing one B must pack it exactly once");
-    assert_eq!(
-        a_packs,
-        (items * tm * tk) as u64,
-        "single-threaded batch drains items on the caller, packing each item's A once"
-    );
+    autogemm::gemm_batch(&plan, &batch, &mut c, 1);
     // The batch output must still match item-by-item plan-level runs.
     for (i, a) in a_store.iter().enumerate() {
         let mut c_ref = vec![0.0f32; m * n];
@@ -150,7 +163,9 @@ fn elided_pack_phase_does_no_pack_work() {
     let (m, n, k) = (64, 49, 64);
     let (a, b) = data(m, n, k);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.gemm_traced(m, n, k, &a, &b, &mut c, 1);
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(1))
+        .unwrap();
     assert_eq!(report.dispatch.route, "block");
     // The report's routing must be exactly what the heuristic decides
     // for this grid.

@@ -7,7 +7,7 @@
 
 use autogemm::native::try_gemm_with_plan_supervised;
 use autogemm::supervisor::Supervision;
-use autogemm::{AutoGemm, PanelPool, Runtime};
+use autogemm::{AutoGemm, GemmOptions, PanelPool, Runtime};
 use autogemm_arch::ChipSpec;
 use autogemm_baselines::naive::{max_rel_error, naive_gemm};
 use proptest::prelude::*;
@@ -47,14 +47,14 @@ proptest! {
         let pool = PanelPool::new();
         let mut c_pooled = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
-            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(),
+            &plan, &a, &b, &mut c_pooled, threads, &pool, &Supervision::none(), None,
         ).unwrap();
 
         let pool = PanelPool::new();
         let mut c_scoped = vec![0.0f32; m * n];
         try_gemm_with_plan_supervised(
             &plan, &a, &b, &mut c_scoped, threads, &pool,
-            &Supervision::none().with_spawn_baseline(),
+            &Supervision::none().with_spawn_baseline(), None,
         ).unwrap();
 
         prop_assert_eq!(&c_pooled, &c_scoped, "pool vs scoped diverged");
@@ -77,7 +77,9 @@ fn concurrent_submissions_to_one_engine_are_all_correct() {
                 let want = oracle(m, n, k, &a, &b);
                 for rep in 0..8 {
                     let mut c = vec![0.0f32; m * n];
-                    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+                    engine
+                        .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+                        .unwrap();
                     assert!(max_rel_error(&c, &want) < 1e-4, "caller {caller} rep {rep} diverged");
                 }
             });
@@ -87,23 +89,12 @@ fn concurrent_submissions_to_one_engine_are_all_correct() {
     assert_eq!(engine.runtime().alive_workers(), stats.workers as usize);
 }
 
-/// Reads this process's thread count from /proc (Linux CI hosts). Falls
-/// back to 0 where /proc is absent, which disables the stability assert.
-fn os_thread_count() -> u64 {
-    std::fs::read_to_string("/proc/self/stat")
-        .ok()
-        .and_then(|s| {
-            // Field 20 (1-indexed) after the comm field, which may hold
-            // spaces — skip past the closing paren first.
-            let rest = &s[s.rfind(')')? + 2..];
-            rest.split_whitespace().nth(17)?.parse::<u64>().ok()
-        })
-        .unwrap_or(0)
-}
-
 /// The tentpole's core claim: a burst of threaded calls on a warmed-up
 /// dedicated runtime creates zero new OS threads and leaks zero pool
-/// workers — dispatch is wake/park, not spawn/join.
+/// workers — dispatch is wake/park, not spawn/join. The spawn count is
+/// the runtime's own, so sibling tests spawning their runtimes in
+/// parallel cannot disturb it (a process-wide `/proc` thread count
+/// could).
 #[test]
 fn threaded_burst_spawns_no_os_threads_and_leaks_no_workers() {
     let rt = Runtime::with_workers(1);
@@ -115,15 +106,16 @@ fn threaded_burst_spawns_no_os_threads_and_leaks_no_workers() {
     // Warm up: first submission lazily spawns the pool workers (and the
     // plan cache tunes the shape).
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
     let workers = rt.stats().workers as usize;
     assert_eq!(rt.alive_workers(), workers, "pool failed to spawn");
 
-    let threads_before = os_thread_count();
+    let spawned_before = rt.threads_spawned();
+    assert!(spawned_before >= workers as u64, "the warm-up spawned the pool workers");
     let submissions_before = rt.stats().submissions;
     for _ in 0..32 {
         let mut c = vec![0.0f32; m * n];
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2)).unwrap();
         assert!(max_rel_error(&c, &want) < 1e-4);
     }
     let stats = rt.stats();
@@ -134,9 +126,7 @@ fn threaded_burst_spawns_no_os_threads_and_leaks_no_workers() {
         stats.submissions
     );
     assert_eq!(rt.alive_workers(), workers, "pool leaked or lost a worker");
-    if threads_before > 0 {
-        assert_eq!(os_thread_count(), threads_before, "threaded calls must not create OS threads");
-    }
+    assert_eq!(rt.threads_spawned(), spawned_before, "threaded calls must not spawn OS threads");
 }
 
 /// Oversubscribed requests are clamped to the runtime's capacity and the
@@ -150,7 +140,7 @@ fn oversubscribed_thread_requests_clamp_and_record() {
     let clamped_before = rt.stats().threads_clamped;
 
     let mut c = vec![0.0f32; m * n];
-    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 16).unwrap();
+    engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(16)).unwrap();
     assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-4);
     assert!(
         rt.stats().threads_clamped > clamped_before,
@@ -169,7 +159,9 @@ fn traced_report_carries_pool_stats() {
     let (m, n, k) = (26, 36, 64);
     let (a, b) = data(m, n, k, 9);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert!(report.pool.submissions >= 1, "threaded traced call must submit to the pool");
     assert_eq!(report.pool.workers as usize + 1, engine.runtime().capacity());
 
@@ -200,7 +192,9 @@ fn concurrent_submissions_merge_into_one_consistent_histogram() {
                 let want = oracle(m, n, k, &a, &b);
                 for _ in 0..reps {
                     let mut c = vec![0.0f32; m * n];
-                    engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).unwrap();
+                    engine
+                        .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+                        .unwrap();
                     assert!(max_rel_error(&c, &want) < 1e-4);
                 }
             });

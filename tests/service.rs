@@ -400,3 +400,23 @@ fn traced_submit_stamps_a_schema_v6_service_section_that_round_trips() {
     assert_eq!(live.queued, 0);
     assert_eq!(live.in_flight, 0);
 }
+
+/// A service-traced call in the default build carries live timings and
+/// the dispatched tile histogram — the call observer's clocks are always
+/// compiled, so no build reports zeroed phases.
+#[test]
+fn traced_submit_reports_live_timings_and_tiles() {
+    let svc = GemmService::new(ChipSpec::graviton2(), ServiceConfig::default());
+    let tenant = TenantId::new("alice");
+    let (m, n, k) = SHAPE;
+    let (a, b) = data(m, n, k, 37);
+    let mut c = vec![0.0f32; m * n];
+    let (_reply, report) = svc
+        .submit_traced(&tenant, m, n, k, &a, &b, &mut c, &GemmOptions::new())
+        .expect("traced submit succeeds");
+    assert!(max_rel_error(&c, &oracle(m, n, k, &a, &b)) < 1e-5);
+    assert!(report.wall.wall_ns > 0, "wall clock must tick");
+    assert!(report.phases.kernel.wall_ns > 0, "kernel phase must tick");
+    assert!(!report.tiles.is_empty(), "dispatched tiles must be counted");
+    assert!(report.wall.wall_ns >= report.phases.kernel.wall_ns);
+}

@@ -1,19 +1,18 @@
 //! Integration guards for the per-GEMM telemetry layer:
 //!
-//! * the traced driver is a pure observer — its `C` output is
-//!   bit-identical to the untraced panel-cache driver on random shapes
-//!   and thread counts (ci.sh runs this file with the `telemetry`
-//!   feature both off and on, so the property pins both paths);
+//! * an attached call observer is a pure observer — the traced call's
+//!   `C` output is bit-identical to the untraced panel-cache driver on
+//!   random shapes and thread counts;
 //! * reports survive a JSON round trip through the public API and the
-//!   schema-version guard rejects foreign versions;
-//! * with the feature off, every timing and counter in a traced report
-//!   is zero (the clock and session hooks compile to no-ops); with it
-//!   on, the phase clocks tick and the model join is populated.
+//!   schema-version guard rejects every other version;
+//! * a traced report carries live phase timings, pack and tile counts,
+//!   and a populated model join, in the default build.
 
-use autogemm::native::{gemm_with_plan, gemm_with_plan_traced};
+use autogemm::native::{gemm_with_plan, try_gemm_with_plan_report};
+use autogemm::supervisor::Supervision;
 use autogemm::telemetry::metrics::{bucket_index, HIST_BOUNDS};
-use autogemm::telemetry::{Counter, HealthReport, Histogram, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-use autogemm::{AutoGemm, ExecutionPlan, GemmReport, PanelPool};
+use autogemm::telemetry::{Counter, Histogram, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use autogemm::{AutoGemm, ExecutionPlan, GemmOptions, GemmReport, PanelPool};
 use autogemm_arch::ChipSpec;
 use autogemm_perfmodel::{ModelOpts, ProjectionTable};
 use autogemm_tuner::tune;
@@ -42,7 +41,16 @@ fn traced_pair(
     gemm_with_plan(&plan, &a, &b, &mut c_plain, threads);
     let pool = PanelPool::new();
     let mut c_traced = vec![0.0f32; m * n];
-    let report = gemm_with_plan_traced(&plan, &a, &b, &mut c_traced, threads, &pool);
+    let report = try_gemm_with_plan_report(
+        &plan,
+        &a,
+        &b,
+        &mut c_traced,
+        threads,
+        &pool,
+        &Supervision::none(),
+    )
+    .expect("traced call");
     (c_plain, c_traced, report)
 }
 
@@ -50,8 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Telemetry must never perturb numerics: same packs, same
-    /// accumulation order, bit-identical C — whether the feature is on
-    /// (hooks live) or off (hooks are no-ops).
+    /// accumulation order, bit-identical C with the observer attached
+    /// (hooks live) or not (hooks skipped).
     #[test]
     fn traced_output_bit_identical_to_untraced(
         m in 1usize..48,
@@ -67,7 +75,41 @@ proptest! {
         prop_assert!(blocks > 0, "every GEMM drains at least one block");
     }
 
-    /// Every report that comes out of the traced driver (model join
+    /// The engine's traced front door on every route — block, row GEMV,
+    /// column GEMV, small-k — at 1, 2 and 8 threads: the observer rides
+    /// the route's one driver, so `C` matches the untraced call bit for
+    /// bit and the report names the route it profiled.
+    #[test]
+    fn traced_engine_calls_match_untraced_on_every_route(
+        route in 0usize..4,
+        t in 0usize..3,
+        d1 in 2usize..70,
+        d2 in 2usize..40,
+        k in 1usize..40,
+        seed in 0u32..1_000_000,
+    ) {
+        let threads = [1usize, 2, 8][t];
+        let (m, n, k, want) = match route {
+            0 => (d1, d2, k.max(9), "block"),
+            1 => (1, d1, k, "gemv_row"),
+            2 => (d1, 1, k, "gemv_col"),
+            _ => (d1, d2, k.min(8), "small_k"),
+        };
+        let engine = AutoGemm::new(ChipSpec::graviton2());
+        let a = data(m * k, seed);
+        let b = data(k * n, seed ^ 0x9e37);
+        let opts = GemmOptions::new().threads(threads);
+        let mut c_plain = vec![0.0f32; m * n];
+        engine.try_gemm_opts(m, n, k, &a, &b, &mut c_plain, &opts).unwrap();
+        let mut c_traced = vec![0.0f32; m * n];
+        let report = engine.try_gemm_traced_opts(m, n, k, &a, &b, &mut c_traced, &opts).unwrap();
+        prop_assert_eq!(c_traced, c_plain);
+        prop_assert_eq!(report.dispatch.route.as_str(), want);
+        prop_assert!(report.total_tiles() > 0, "every route dispatches tiles");
+        prop_assert!(report.phases.kernel.wall_ns > 0, "the kernel phase is timed");
+    }
+
+    /// Every report that comes out of a traced call (model join
     /// attached or not) must survive serialization unchanged.
     #[test]
     fn live_reports_round_trip_through_json(
@@ -221,7 +263,9 @@ fn tracing_engine_exports_a_chrome_timeline() {
     let b = data(k * n, 4);
     let mut c = vec![0.0f32; m * n];
     for _ in 0..2 {
-        engine.try_gemm_threaded(m, n, k, &a, &b, &mut c, 2).expect("gemm");
+        engine
+            .try_gemm_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+            .expect("gemm");
     }
     let tracer = engine.tracer().expect("built with tracing");
     let spans = tracer.snapshot();
@@ -260,7 +304,9 @@ fn engine_reports_carry_a_health_section_that_round_trips() {
     let a = data(m * k, 21);
     let b = data(k * n, 22);
     let mut c = vec![0.0f32; m * n];
-    let report = engine.try_gemm_traced(m, n, k, &a, &b, &mut c, 2).unwrap();
+    let report = engine
+        .try_gemm_traced_opts(m, n, k, &a, &b, &mut c, &GemmOptions::new().threads(2))
+        .unwrap();
     assert_eq!(report.health.paths.len(), 5, "engine reports name every breaker path");
     assert!(report.health.all_closed());
     let text = report.to_json();
@@ -270,49 +316,44 @@ fn engine_reports_carry_a_health_section_that_round_trips() {
     assert_eq!(back, report);
 }
 
-/// Forward compatibility: a schema-v1 report (no `health` section) must
-/// still parse, coming back with the default (empty, all-closed) health.
+/// One schema: every report this build writes is the current version,
+/// so an older report — here a v1 one, without the `health` section
+/// that v2 added — is rejected rather than parsed leniently.
 #[test]
-fn v1_reports_without_health_parse_leniently() {
-    assert_eq!(MIN_SCHEMA_VERSION, 1);
-    // Plan-level traced reports carry default health, so the serialized
-    // section is the literal empty object — strip it and drop to v1.
+fn reports_older_than_the_current_schema_are_rejected() {
+    assert_eq!(MIN_SCHEMA_VERSION, SCHEMA_VERSION);
     let (_, _, report) = traced_pair(16, 24, 16, 2, 17);
-    assert_eq!(report.health, HealthReport::default());
     let v1 = report
         .to_json()
         .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":1")
         .replace("\"health\":{\"paths\":[],\"transitions\":[]},", "");
     assert!(!v1.contains("health"), "v1 fixture must not carry a health section");
-    let back = GemmReport::from_json(&v1).expect("v1 reports must stay readable");
-    assert_eq!(back.health, HealthReport::default());
-    assert!(back.health.all_closed());
+    let err = GemmReport::from_json(&v1).unwrap_err();
+    assert!(err.to_string().contains("unsupported schema_version 1"), "{err}");
 }
 
-#[cfg(not(feature = "telemetry"))]
+/// A traced call in the default build reports live clocks: non-zero
+/// wall, pack and kernel phases, the exact panel-cache pack counts, a
+/// tile histogram with one record per placement dispatch, and a
+/// populated model join.
 #[test]
-fn feature_off_reports_are_structurally_filled_but_zeroed() {
-    let (_, _, report) = traced_pair(26, 36, 24, 2, 11);
-    assert_eq!((report.m, report.n, report.k), (26, 36, 24));
-    assert!(report.threads >= 1, "structure still filled in");
-    assert_eq!(report.wall, Default::default(), "no clock without the feature");
-    assert_eq!(report.phases, Default::default());
-    assert_eq!(report.packs, Default::default());
-    assert!(report.tiles.is_empty(), "no histogram without the feature");
-    assert_eq!(report.gflops(), 0.0);
-}
-
-#[cfg(feature = "telemetry")]
-#[test]
-fn feature_on_reports_carry_live_timings_and_model_join() {
-    let (_, _, mut report) = traced_pair(64, 96, 64, 2, 11);
+fn traced_reports_carry_live_timings_and_model_join() {
+    let (m, n, k) = (64, 96, 64);
+    let (_, _, mut report) = traced_pair(m, n, k, 2, 11);
+    assert_eq!((report.m, report.n, report.k), (m, n, k));
+    assert!(report.threads >= 1, "structure filled in");
     assert!(report.wall.wall_ns > 0);
     assert!(report.phases.kernel.wall_ns > 0);
-    assert!(report.packs.a_packs > 0 && report.packs.b_packs > 0);
-    assert!(report.total_tiles() > 0);
+    assert!(report.phases.pack_a.wall_ns > 0 && report.phases.pack_b.wall_ns > 0);
+    assert!(report.wall.wall_ns >= report.phases.kernel.wall_ns);
+    let chip = ChipSpec::graviton2();
+    let plan = ExecutionPlan::from_schedule(tune(m, n, k, &chip), &chip);
+    let (tm, tn, tk) = plan.grid();
+    assert_eq!(report.packs.a_packs, (tm * tk) as u64);
+    assert_eq!(report.packs.b_packs, (tk * tn) as u64);
+    assert_eq!(report.total_tiles(), (tm * tn * tk * plan.block_plan.placements.len()) as u64);
     assert!(report.gflops() > 0.0);
 
-    let chip = ChipSpec::graviton2();
     let mut table = ProjectionTable::new(&chip, ModelOpts::default());
     report.join_model(&mut table);
     let mj = report.model.expect("join populated");
