@@ -14,7 +14,7 @@
 use autogemm::ExecutionPlan;
 use autogemm_arch::ChipSpec;
 use autogemm_bench::{pct, print_table};
-use autogemm_kernelgen::MicroTile;
+use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_perfmodel::ModelOpts;
 use autogemm_tiling::{plan_dmt, plan_libxsmm};
 use autogemm_tuner::space::LoopOrder;
@@ -45,8 +45,9 @@ fn variant(chip: &ChipSpec, m: usize, n: usize, k: usize, name: &str) -> Executi
         "-rotation" => {
             let mut plan = ExecutionPlan::from_schedule(sched, chip);
             plan.opts = ModelOpts { rotate: false, fused: true };
-            plan.block_plan =
-                plan_dmt(plan.schedule.mc, plan.schedule.nc, plan.schedule.kc, chip, plan.opts);
+            let s = &plan.schedule;
+            let menu = tiles::table_menu(chip.sigma_lane());
+            plan.block_plan = plan_dmt(s.mc, s.nc, s.kc, chip, plan.opts, &menu);
             plan
         }
         "-fusion" => {
@@ -79,8 +80,9 @@ fn variant(chip: &ChipSpec, m: usize, n: usize, k: usize, name: &str) -> Executi
             let mut blind = chip.clone();
             blind.sigma_ai = 0.0;
             let mut plan = ExecutionPlan::from_schedule(sched, chip);
-            plan.block_plan =
-                plan_dmt(plan.schedule.mc, plan.schedule.nc, plan.schedule.kc, &blind, full_opts);
+            let s = &plan.schedule;
+            let menu = tiles::table_menu(chip.sigma_lane());
+            plan.block_plan = plan_dmt(s.mc, s.nc, s.kc, &blind, full_opts, &menu);
             plan
         }
         other => unreachable!("unknown variant {other}"),

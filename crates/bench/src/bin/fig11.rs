@@ -13,7 +13,7 @@ fn main() {
         let mut rows = Vec::new();
         // One plan for the whole curve: the full-core-count multicore
         // schedule (the paper scales one tuned binary).
-        let plan = engine.plan_multicore(m, n, k, chip.cores);
+        let plan = engine.model_plan_multicore(m, n, k, chip.cores);
         let t1 = engine.simulate_with_plan(&plan, 1).seconds;
         let mut counts = vec![1usize, 2, 4];
         let mut c = 8;
@@ -55,8 +55,8 @@ fn main() {
     let chip = ChipSpec::a64fx();
     let baseline = AutoGemm::new(chip.clone());
     let aware = AutoGemm::new(chip.clone()).with_cmg_replication();
-    let plan_b = baseline.plan_multicore(m, n, k, chip.cores);
-    let plan_a = aware.plan_multicore(m, n, k, chip.cores);
+    let plan_b = baseline.model_plan_multicore(m, n, k, chip.cores);
+    let plan_a = aware.model_plan_multicore(m, n, k, chip.cores);
     let t1 = baseline.simulate_with_plan(&plan_b, 1).seconds;
     let tb = baseline.simulate_with_plan(&plan_b, chip.cores).seconds;
     let ta = aware.simulate_with_plan(&plan_a, chip.cores).seconds;

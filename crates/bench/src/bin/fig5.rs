@@ -4,7 +4,7 @@
 
 use autogemm_arch::ChipSpec;
 use autogemm_bench::print_table;
-use autogemm_kernelgen::MicroTile;
+use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_perfmodel::ModelOpts;
 use autogemm_tiling::{plan_dmt, plan_libxsmm, plan_openblas};
 
@@ -15,8 +15,8 @@ fn main() {
 
     let ob = plan_openblas(m, n, tile);
     let xs = plan_libxsmm(m, n, tile, 4);
-    let low = plan_dmt(m, n, kc, &ChipSpec::graviton2(), opts);
-    let high = plan_dmt(m, n, kc, &ChipSpec::kp920(), opts);
+    let low = plan_dmt(m, n, kc, &ChipSpec::graviton2(), opts, &tiles::table_menu(4));
+    let high = plan_dmt(m, n, kc, &ChipSpec::kp920(), opts, &tiles::table_menu(4));
 
     let mut rows = Vec::new();
     for (name, plan, chip) in [

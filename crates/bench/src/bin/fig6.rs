@@ -17,6 +17,7 @@ fn simulate_with_opts(engine: &AutoGemm, m: usize, n: usize, k: usize, opts: Mod
         plan.schedule.kc,
         &chip,
         opts,
+        &autogemm_kernelgen::tiles::table_menu(chip.sigma_lane()),
     );
     let block = autogemm::simexec::simulate_block(&plan, &chip, true);
     let cycles = autogemm::simexec::single_core_cycles(&plan, &chip, block);

@@ -3,7 +3,7 @@
 
 use autogemm_arch::ChipSpec;
 use autogemm_bench::{pct, print_table};
-use autogemm_kernelgen::MicroTile;
+use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_perfmodel::ModelOpts;
 use autogemm_tiling::{plan_dmt, plan_libxsmm, plan_openblas, TilePlan};
 use autogemm_tuner::space::LoopOrder;
@@ -66,7 +66,7 @@ fn main() {
                 &chip,
                 ModelOpts { rotate: true, fused: false },
             );
-            let dmt_plan = plan_dmt(m, n, kc, &chip, opts);
+            let dmt_plan = plan_dmt(m, n, kc, &chip, opts, &tiles::table_menu(chip.sigma_lane()));
             let tiles = dmt_plan.tile_count();
             let low_ai = dmt_plan.low_ai_count(&chip);
             let dmt = simulate_plan(dmt_plan, m, n, kc, &chip, opts);

@@ -9,6 +9,10 @@
 //! a hot, packed `kc = 256` panel pair, then records:
 //!
 //! * achieved GFLOP/s of both kernels and the SIMD/scalar speedup;
+//! * the vector registers the kernel keeps live
+//!   ([`autogemm::native::live_registers`]) and whether the shape is on
+//!   the host menu native plans are tiled over
+//!   ([`autogemm::native::host_menu`] for a 4-lane planning chip);
 //! * the perfmodel's projected cycles for the same `(tile, kc)` on the
 //!   Graviton2 model and the derived model flops-per-cycle;
 //! * `effective_ghz = achieved_simd_flops_per_ns / model_flops_per_cycle`
@@ -26,7 +30,9 @@
 //! `--smoke` (the CI mode) runs only the four first-choice shapes with
 //! fewer samples and writes no artifact unless a path is also given.
 
-use autogemm::native::{run_placement, run_placement_ref, CTile, KERNEL_MENU};
+use autogemm::native::{
+    host_menu, live_registers, run_placement, run_placement_ref, CTile, KERNEL_MENU,
+};
 use autogemm::packing::{pack_a, pack_b};
 use autogemm::simd::SimdBackend;
 use autogemm_arch::ChipSpec;
@@ -89,6 +95,7 @@ fn main() {
     let backend = SimdBackend::detect();
     println!("dispatched SIMD backend: {}", backend.name());
 
+    let host = host_menu(chip.sigma_lane());
     let menu: Vec<(usize, usize)> = if smoke {
         autogemm_kernelgen::tiles::first_choice_neon().iter().map(|t| (t.mr, t.nr)).collect()
     } else {
@@ -137,13 +144,16 @@ fn main() {
         };
         println!(
             "{mr}x{nr:<3} kc={KC}: simd {:>7.2} GFLOPS  scalar {:>7.2} GFLOPS  \
-             speedup {:>5.2}x  model {:>7.0} cyc ({:.2} flops/cyc, eff {:.2} GHz)",
+             speedup {:>5.2}x  model {:>7.0} cyc ({:.2} flops/cyc, eff {:.2} GHz)  \
+             live {:>2} regs{}",
             e.simd_gflops,
             e.scalar_gflops,
             e.simd_gflops / e.scalar_gflops,
             e.model_cycles,
             e.model_flops_per_cycle,
             e.simd_gflops / e.model_flops_per_cycle,
+            live_registers(mr, nr),
+            if host.contains(&tile) { "" } else { " (off the host menu)" },
         );
         entries.push(e);
     }
@@ -162,13 +172,14 @@ fn main() {
     let _ = writeln!(json, "  \"kc\": {KC},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"model_chip\": \"{}\",", chip.id);
+    let _ = writeln!(json, "  \"register_budget\": {},", autogemm::simd::REGISTER_BUDGET);
     let _ = writeln!(json, "  \"entries\": [");
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(
             json,
             "    {{\"mr\": {}, \"nr\": {}, \"simd_gflops\": {:.3}, \"scalar_gflops\": {:.3}, \
              \"speedup\": {:.3}, \"model_cycles\": {:.1}, \"model_flops_per_cycle\": {:.3}, \
-             \"effective_ghz\": {:.3}}}",
+             \"effective_ghz\": {:.3}, \"live_registers\": {}, \"host_menu\": {}}}",
             e.mr,
             e.nr,
             e.simd_gflops,
@@ -177,6 +188,8 @@ fn main() {
             e.model_cycles,
             e.model_flops_per_cycle,
             e.simd_gflops / e.model_flops_per_cycle,
+            live_registers(e.mr, e.nr),
+            host.contains(&MicroTile::new(e.mr, e.nr)),
         );
         let _ = writeln!(json, "{}", if i + 1 < entries.len() { "," } else { "" });
     }

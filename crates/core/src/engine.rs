@@ -15,10 +15,12 @@ use crate::telemetry::metrics::{CallOutcome, Counter, MetricsRegistry, MetricsSn
 use crate::telemetry::{CallObserver, DispatchStats, HealthReport, IntegrityReport, TraceBuf};
 use crate::verify::{self, VerifyPolicy};
 use autogemm_arch::ChipSpec;
+use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_sim::Warmth;
 use autogemm_tuner::{tune_with, Packing, Schedule};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,6 +42,38 @@ pub struct SimGemmReport {
     pub packing: Packing,
 }
 
+/// Key of a simulated block cost: `(m_c, n_c, k_c, multicore)` plus a
+/// fingerprint of the block's tile placements (a host-menu and a Table II
+/// plan of one block differ).
+type BlockSimKey = (usize, usize, usize, bool, u64);
+
+/// Which tile menu a plan is DMT-tiled over.
+#[derive(Debug, Clone, Copy)]
+enum PlanTarget {
+    /// Native execution: the host's register-feasible menu.
+    Host,
+    /// The cycle-level chip model: the paper's Table II menu.
+    Model,
+}
+
+impl PlanTarget {
+    /// The plan-cache key's `backend`: native plans depend on the
+    /// detected SIMD backend, model plans on none.
+    fn backend(self) -> &'static str {
+        match self {
+            PlanTarget::Host => crate::simd::SimdBackend::detect().name(),
+            PlanTarget::Model => "model",
+        }
+    }
+
+    fn menu(self, sigma_lane: usize) -> Vec<MicroTile> {
+        match self {
+            PlanTarget::Host => native::host_menu(sigma_lane),
+            PlanTarget::Model => tiles::table_menu(sigma_lane),
+        }
+    }
+}
+
 /// The autoGEMM engine for one target chip: tunes schedules on first use,
 /// memoizes per-block simulations, and executes natively or on the
 /// simulator.
@@ -51,7 +85,7 @@ pub struct AutoGemm {
     /// `(m, n, k, threads, backend)` skips tuning, DMT planning and the
     /// elision heuristic entirely (see [`crate::plancache`]).
     plans: PlanCache,
-    block_sims: Mutex<HashMap<(usize, usize, usize, bool), BlockCost>>,
+    block_sims: Mutex<HashMap<BlockSimKey, BlockCost>>,
     /// Recycles panel buffers across native GEMM calls: the engine's
     /// steady state packs into warm allocations instead of fresh `vec!`s.
     panel_pool: crate::packing::PanelPool,
@@ -235,17 +269,25 @@ impl AutoGemm {
         &self.chip
     }
 
-    /// Tune a schedule for one shape and thread budget. Memoization
-    /// lives one layer up, in the shape-keyed plan cache consulted by
-    /// [`Self::plan_dispatch`] — this function always runs the tuner.
-    fn tuned_schedule(&self, m: usize, n: usize, k: usize, threads: usize) -> Schedule {
+    /// Tune a schedule for one shape and thread budget, scoring blocks
+    /// over `menu`. Memoization lives one layer up, in the shape-keyed
+    /// plan cache consulted by [`Self::plan_dispatch`] — this function
+    /// always runs the tuner.
+    fn tuned_schedule(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        threads: usize,
+        menu: &[MicroTile],
+    ) -> Schedule {
         if m == 0 || n == 0 || k == 0 {
             // The tuner's cost model divides by block trip counts, so a
             // degenerate dim cannot be tuned directly. Tune the clamped
             // shape and restore the true dims: such a plan is only ever
             // used for validation (every driver early-returns on a zero
             // dim before touching the block grid).
-            let mut s = self.tuned_schedule(m.max(1), n.max(1), k.max(1), threads);
+            let mut s = self.tuned_schedule(m.max(1), n.max(1), k.max(1), threads, menu);
             s.m = m;
             s.n = n;
             s.k = k;
@@ -261,11 +303,12 @@ impl AutoGemm {
                 &self.chip,
                 self.allow_offline,
                 threads,
+                menu,
                 6,
             );
             let mut best: Option<(f64, Schedule)> = None;
             for cand in candidates {
-                let plan = ExecutionPlan::from_schedule(cand.clone(), &self.chip);
+                let plan = ExecutionPlan::from_schedule_over(cand.clone(), &self.chip, menu);
                 let block = self.block_cost(&plan, true);
                 let works = simexec::thread_works(&plan, &self.chip, block, threads);
                 let seconds = autogemm_sim::makespan(&self.chip, &works).seconds;
@@ -278,35 +321,33 @@ impl AutoGemm {
                 // An empty shortlist (degenerate shape, pathological
                 // model output) falls back to the single-core tuner
                 // instead of panicking.
-                None => tune_with(m, n, k, &self.chip, self.allow_offline),
+                None => tune_with(m, n, k, &self.chip, self.allow_offline, menu),
             }
         } else {
-            tune_with(m, n, k, &self.chip, self.allow_offline)
+            tune_with(m, n, k, &self.chip, self.allow_offline, menu)
         }
     }
 
-    /// The dispatch-facing plan lookup: consult the shape-keyed plan
-    /// cache, tuning + DMT-planning + applying the packing-elision
-    /// routing ([`autogemm_perfmodel::route_packing`]) only on a miss.
-    /// Returns the shared plan and whether this call hit the cache.
+    /// The plan lookup behind every accessor: consult the shape-keyed
+    /// plan cache, tuning + DMT-planning over `target`'s tile menu +
+    /// applying the packing-elision routing
+    /// ([`autogemm_perfmodel::route_packing`]) only on a miss. Returns
+    /// the shared plan and whether this call hit the cache.
     fn plan_dispatch(
         &self,
         m: usize,
         n: usize,
         k: usize,
         tuner_threads: usize,
+        target: PlanTarget,
     ) -> (Arc<ExecutionPlan>, bool) {
-        let key = PlanKey {
-            m,
-            n,
-            k,
-            threads: tuner_threads,
-            backend: crate::simd::SimdBackend::detect().name(),
-        };
+        let key = PlanKey { m, n, k, threads: tuner_threads, backend: target.backend() };
         self.plans.get_or_build(key, || {
-            let plan = ExecutionPlan::from_schedule(
-                self.tuned_schedule(m, n, k, tuner_threads),
+            let menu = target.menu(self.chip.sigma_lane());
+            let plan = ExecutionPlan::from_schedule_over(
+                self.tuned_schedule(m, n, k, tuner_threads, &menu),
                 &self.chip,
+                &menu,
             );
             let (tm, tn, _) = plan.grid();
             let r = autogemm_perfmodel::route_packing(m, n, k, tm, tn);
@@ -322,7 +363,8 @@ impl AutoGemm {
         self.plans.stats()
     }
 
-    /// The execution plan the engine would use for a problem.
+    /// The execution plan native calls use for a problem: DMT-tiled over
+    /// the host's register-feasible menu ([`native::host_menu`]).
     ///
     /// Returned plans always carry fully *packed* operand routing: the
     /// plan-level public drivers ([`crate::offline`] prepacked entry
@@ -330,15 +372,44 @@ impl AutoGemm {
     /// panels (offline `B` reuse, shared-`B` reuse across batch items).
     /// Packing elision is an engine-internal dispatch decision.
     pub fn plan(&self, m: usize, n: usize, k: usize) -> ExecutionPlan {
-        let (plan, _) = self.plan_dispatch(m, n, k, 1);
-        (*plan).clone().with_routing(OperandRouting::packed())
+        self.packed_plan(m, n, k, 1, PlanTarget::Host)
     }
 
     /// Plan under the multi-core `k_c = K` constraint (§V-C), with enough
-    /// parallel blocks for `threads` workers. Packed routing, as
-    /// [`Self::plan`].
+    /// parallel blocks for `threads` workers. Host menu and packed
+    /// routing, as [`Self::plan`].
     pub fn plan_multicore(&self, m: usize, n: usize, k: usize, threads: usize) -> ExecutionPlan {
-        let (plan, _) = self.plan_dispatch(m, n, k, threads.max(2));
+        self.packed_plan(m, n, k, threads.max(2), PlanTarget::Host)
+    }
+
+    /// The plan [`Self::simulate`] runs on the chip model: as
+    /// [`Self::plan`], but DMT-tiled over the chip's Table II menu, as in
+    /// the paper.
+    pub fn model_plan(&self, m: usize, n: usize, k: usize) -> ExecutionPlan {
+        self.packed_plan(m, n, k, 1, PlanTarget::Model)
+    }
+
+    /// [`Self::plan_multicore`] over the chip's Table II menu — the plan
+    /// the simulator's multi-threaded runs and scaling curves use.
+    pub fn model_plan_multicore(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        threads: usize,
+    ) -> ExecutionPlan {
+        self.packed_plan(m, n, k, threads.max(2), PlanTarget::Model)
+    }
+
+    fn packed_plan(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        tuner_threads: usize,
+        target: PlanTarget,
+    ) -> ExecutionPlan {
+        let (plan, _) = self.plan_dispatch(m, n, k, tuner_threads, target);
         (*plan).clone().with_routing(OperandRouting::packed())
     }
 
@@ -596,7 +667,7 @@ impl AutoGemm {
             }
             None => {
                 let tuner_threads = if threads > 1 { threads.max(2) } else { 1 };
-                let (plan, hit) = self.plan_dispatch(m, n, k, tuner_threads);
+                let (plan, hit) = self.plan_dispatch(m, n, k, tuner_threads, PlanTarget::Host);
                 let pool = &self.panel_pool;
                 let r =
                     native::try_gemm_with_plan_supervised(&plan, a, b, c, threads, pool, &sup, obs);
@@ -898,7 +969,9 @@ impl AutoGemm {
 
     fn block_cost(&self, plan: &ExecutionPlan, multicore: bool) -> BlockCost {
         let s = &plan.schedule;
-        let key = (s.mc, s.nc, s.kc, multicore);
+        let mut tiles = std::collections::hash_map::DefaultHasher::new();
+        plan.block_plan.placements.hash(&mut tiles);
+        let key = (s.mc, s.nc, s.kc, multicore, tiles.finish());
         if let Some(c) = self.block_sims.lock().get(&key) {
             return *c;
         }
@@ -914,10 +987,10 @@ impl AutoGemm {
     /// through the makespan model.
     pub fn simulate(&self, m: usize, n: usize, k: usize, threads: usize) -> SimGemmReport {
         if threads > 1 {
-            let plan = self.plan_multicore(m, n, k, threads);
+            let plan = self.model_plan_multicore(m, n, k, threads);
             return self.simulate_with_plan(&plan, threads);
         }
-        let plan = self.plan(m, n, k);
+        let plan = self.model_plan(m, n, k);
         let block = self.block_cost(&plan, false);
         let cycles = simexec::single_core_cycles(&plan, &self.chip, block);
         let seconds = cycles / (self.chip.freq_ghz * 1e9);

@@ -48,10 +48,12 @@ use crate::packing::{
 };
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
+use crate::simd::{LANES, REGISTER_BUDGET};
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
 use crate::telemetry::observer::{CallObserver, TileTally};
 use crate::telemetry::report::{FallbackStats, GemmReport, ThreadProfile};
+use autogemm_kernelgen::MicroTile;
 use autogemm_tiling::TilePlacement;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -525,6 +527,34 @@ pub const KERNEL_MENU: &[(usize, usize)] = &[
     (8, 4),
     (8, 8),
 ];
+
+/// Vector registers the native kernel keeps live for an `mr × nr` tile:
+/// `mr·n̄_r` accumulators, one `B` row of `n̄_r` vectors and one `A`
+/// broadcast, with `n̄_r = nr / LANES` (the kernel's k-step; compare
+/// Table II's `m_r·n̄_r + m_r + n̄_r`, which keeps every `A` row in a
+/// register).
+pub fn live_registers(mr: usize, nr: usize) -> usize {
+    let nrv = nr / LANES;
+    mr * nrv + nrv + 1
+}
+
+/// The tile menu native plans are DMT-tiled over: the [`KERNEL_MENU`]
+/// shapes whose [`live_registers`] fit the target's
+/// [`REGISTER_BUDGET`](crate::simd::REGISTER_BUDGET) and whose `n_r` is a
+/// multiple of the planning chip's `sigma_lane`. On aarch64 this is the
+/// whole menu for 4-lane chips; on x86_64 it drops the tiles that would
+/// spill the 16 XMM registers (3×24, 4×16, 4×20, …). The menu is closed
+/// under shrinking, so DMT's edge tiles stay on it, and it is never
+/// empty for a 4- or 16-lane chip.
+pub fn host_menu(sigma_lane: usize) -> Vec<MicroTile> {
+    KERNEL_MENU
+        .iter()
+        .filter(|&&(mr, nr)| {
+            live_registers(mr, nr) <= REGISTER_BUDGET && nr.is_multiple_of(sigma_lane)
+        })
+        .map(|&(mr, nr)| MicroTile::new(mr, nr))
+        .collect()
+}
 
 /// One menu entry, monomorphized over `(MR, NRV, NR)`: the SIMD kernel
 /// ([`crate::kernels::micro_kernel_simd`]) or the scalar reference

@@ -2,10 +2,12 @@
 //!
 //! A plan fixes the cache blocking, the per-block DMT tile plan, the
 //! packing mode and the pipeline options. Both backends (native and
-//! simulated) execute the *same* plan, so what the tuner optimizes is what
-//! runs.
+//! simulated) can execute any plan, so what the tuner optimizes is what
+//! runs. The engine tiles native plans over the host's register-feasible
+//! menu and simulator plans over the chip's Table II menu (DESIGN.md §12).
 
 use autogemm_arch::ChipSpec;
+use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_perfmodel::ModelOpts;
 use autogemm_tiling::{plan_dmt, TilePlan};
 use autogemm_tuner::{Packing, Schedule};
@@ -60,11 +62,19 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Build the plan for a tuned schedule on a chip. The plan packs
-    /// both operands; the engine applies input-aware elision on top.
+    /// Build the plan for a tuned schedule on a chip, tiling its block
+    /// over the chip's Table II menu (what the simulator runs). The plan
+    /// packs both operands; the engine applies input-aware elision on
+    /// top.
     pub fn from_schedule(schedule: Schedule, chip: &ChipSpec) -> Self {
+        Self::from_schedule_over(schedule, chip, &tiles::table_menu(chip.sigma_lane()))
+    }
+
+    /// [`Self::from_schedule`] with the block DMT-tiled over `menu` (the
+    /// engine's native plans use [`crate::native::host_menu`]).
+    pub fn from_schedule_over(schedule: Schedule, chip: &ChipSpec, menu: &[MicroTile]) -> Self {
         let opts = ModelOpts { rotate: true, fused: true };
-        let block_plan = plan_dmt(schedule.mc, schedule.nc, schedule.kc, chip, opts);
+        let block_plan = plan_dmt(schedule.mc, schedule.nc, schedule.kc, chip, opts, menu);
         ExecutionPlan {
             schedule,
             block_plan,

@@ -7,9 +7,10 @@
 //! routing — behind an `Arc`, so a repeated shape skips the tuner, the
 //! DMT planner and the elision heuristic entirely and shares one
 //! allocation across concurrent callers. The key adds the detected SIMD
-//! backend name: a cached plan encodes lane-width decisions, so a
-//! (hypothetical) backend change must miss rather than replay a plan
-//! tuned for another ISA. Hit/miss counters feed
+//! backend name: a cached plan encodes lane-width and register-budget
+//! decisions, so a (hypothetical) backend change must miss rather than
+//! replay a plan tuned for another ISA, and the simulator's Table II
+//! plans (keyed `"model"`) never answer a native lookup. Hit/miss counters feed
 //! `GemmReport::dispatch` and the engine's `plan_cache_stats()`.
 //!
 //! The cache is **bounded**: at [`PLAN_CACHE_CAPACITY`] entries the
@@ -28,7 +29,10 @@ use std::sync::{Arc, OnceLock};
 
 /// Everything a cached plan depends on. `threads` is the tuner's thread
 /// budget (multicore schedules differ structurally from single-core
-/// ones), `backend` the detected SIMD backend name.
+/// ones). `backend` is the detected SIMD backend name for native plans
+/// (tiled over the host menu) and `"model"` for the simulator's plans
+/// (tiled over the chip's Table II menu), so the two never share an
+/// entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     pub m: usize,

@@ -35,6 +35,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Lanes per vector register — the paper's NEON `σ_lane`.
 pub const LANES: usize = 4;
 
+/// Vector registers the native micro-kernels can keep live at once on
+/// the compile target: the 32 NEON `v` registers on aarch64, the 16
+/// XMM registers the SSE2/FMA kernels are encoded for on x86_64 (no
+/// AVX-512 encoding, so `xmm16`–`xmm31` are out of reach), and 16 on
+/// every other target — the least a 128-bit vector unit offers, so the
+/// portable fallback never plans a tile that is sure to spill.
+pub const REGISTER_BUDGET: usize = if cfg!(target_arch = "aarch64") { 32 } else { 16 };
+
 /// Which micro-kernel flavour [`detect`](SimdBackend::detect) resolved
 /// to on this host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -246,7 +246,8 @@ pub fn thread_works_even(
         .collect()
 }
 
-/// Force the multi-core `k_c = K` constraint onto a schedule (§V-C).
+/// Force the multi-core `k_c = K` constraint onto a schedule (§V-C),
+/// scoring blocks over the chip's Table II menu.
 pub fn multicore_schedule(
     m: usize,
     n: usize,
@@ -255,7 +256,8 @@ pub fn multicore_schedule(
     offline: bool,
     threads: usize,
 ) -> Schedule {
-    autogemm_tuner::tune_multicore(m, n, k, chip, offline, threads)
+    let menu = autogemm_kernelgen::tiles::table_menu(chip.sigma_lane());
+    autogemm_tuner::tune_multicore(m, n, k, chip, offline, threads, &menu)
 }
 
 /// Effective packing mode of a plan (exposed for reports).

@@ -15,7 +15,7 @@
 
 use crate::plan::{grid_region, Strategy, TilePlacement, TilePlan};
 use autogemm_arch::ChipSpec;
-use autogemm_kernelgen::{tiles, MicroTile};
+use autogemm_kernelgen::MicroTile;
 use autogemm_perfmodel::micro::effective_cycles;
 use autogemm_perfmodel::submatrix::region_cycles_derated;
 use autogemm_perfmodel::ModelOpts;
@@ -93,13 +93,28 @@ fn emit_quadrant(
     }
 }
 
-/// Run Algorithm 1 on a block `C(m × n)` at reduction depth `kc`.
+/// Run Algorithm 1 on a block `C(m × n)` at reduction depth `kc`, over
+/// the micro-kernel shapes of `shapes`.
+///
+/// The menu is the caller's: the paper's Table II
+/// ([`autogemm_kernelgen::tiles::table_menu`]) for everything planned on
+/// a chip model, the register-feasible host menu for native runs. Every
+/// shape's `n_r` must be a multiple of the chip's `σ_lane`, and the menu
+/// must be closed under shrinking (LIBXSMM-style edge tiles of a menu
+/// shape stay on the menu); both menus are.
 ///
 /// `n` cuts are lane-aligned (every kernel width must be a multiple of
 /// `σ_lane`); `m` cuts are unrestricted, exactly as in the paper.
-pub fn plan_dmt(m: usize, n: usize, kc: usize, chip: &ChipSpec, opts: ModelOpts) -> TilePlan {
+pub fn plan_dmt(
+    m: usize,
+    n: usize,
+    kc: usize,
+    chip: &ChipSpec,
+    opts: ModelOpts,
+    shapes: &[MicroTile],
+) -> TilePlan {
     let sigma = chip.sigma_lane();
-    let shapes = tiles::table_menu(sigma);
+    assert!(!shapes.is_empty(), "DMT needs a non-empty tile menu");
 
     // Memoized quadrant costs, keyed by the exact (m', n') extent: when N
     // is not a lane multiple, the n_back widths are not lane-aligned, so a
@@ -112,7 +127,7 @@ pub fn plan_dmt(m: usize, n: usize, kc: usize, chip: &ChipSpec, opts: ModelOpts)
          memo: &mut std::collections::HashMap<(usize, usize), (f64, QuadrantCover)>| {
             *memo
                 .entry((mm, nn))
-                .or_insert_with(|| quadrant_cost(mm, nn, kc, chip, opts, &shapes).unwrap())
+                .or_insert_with(|| quadrant_cost(mm, nn, kc, chip, opts, shapes).unwrap())
         };
 
     // The objective separates: for a fixed n_front, the best m_front_up
@@ -168,12 +183,17 @@ mod tests {
         ModelOpts { rotate: true, fused: true }
     }
 
+    /// Algorithm 1 over the chip's Table II menu.
+    fn plan_t2(m: usize, n: usize, kc: usize, chip: &ChipSpec, opts: ModelOpts) -> TilePlan {
+        plan_dmt(m, n, kc, chip, opts, &autogemm_kernelgen::tiles::table_menu(chip.sigma_lane()))
+    }
+
     #[test]
     fn fig5c_26x36_beats_static_strategies() {
         // Paper: OpenBLAS and LIBXSMM both need 18 micro-tiles on C(26,36);
         // DMT needs 13, with at most 2 low-AI tiles.
         let chip = ChipSpec::graviton2();
-        let plan = plan_dmt(26, 36, 64, &chip, default_opts());
+        let plan = plan_t2(26, 36, 64, &chip, default_opts());
         plan.validate(4).expect("exact cover");
         assert!(plan.tile_count() <= 14, "DMT used {} tiles (paper: 13)", plan.tile_count());
         assert!(plan.tile_count() < 18);
@@ -186,7 +206,7 @@ mod tests {
         for chip in [ChipSpec::kp920(), ChipSpec::graviton2(), ChipSpec::m2()] {
             for (m, n) in [(26, 36), (26, 64), (80, 32), (25, 64), (13, 20), (31, 44)] {
                 let kc = 64;
-                let dmt = plan_dmt(m, n, kc, &chip, opts).effective_cycles(kc, &chip, opts);
+                let dmt = plan_t2(m, n, kc, &chip, opts).effective_cycles(kc, &chip, opts);
                 let ob =
                     plan_openblas(m, n, MicroTile::new(5, 16)).effective_cycles(kc, &chip, opts);
                 let xs =
@@ -207,7 +227,7 @@ mod tests {
         let chip = ChipSpec::kp920();
         let opts = default_opts();
         for (m, n) in [(80, 32), (25, 64)] {
-            let dmt = plan_dmt(m, n, 64, &chip, opts);
+            let dmt = plan_t2(m, n, 64, &chip, opts);
             let xs = plan_libxsmm(m, n, MicroTile::new(5, 16), 4);
             assert_eq!(dmt.tile_count(), xs.tile_count(), "{m}x{n}");
             let d = dmt.effective_cycles(64, &chip, opts);
@@ -222,14 +242,14 @@ mod tests {
         // low-AI tiles entirely (4×16 edges reach peak); on high-σ_AI
         // hardware it minimizes their number instead.
         let opts = default_opts();
-        let low = plan_dmt(26, 64, 64, &ChipSpec::graviton2(), opts);
+        let low = plan_t2(26, 64, 64, &ChipSpec::graviton2(), opts);
         assert_eq!(
             low.low_ai_count(&ChipSpec::graviton2()),
             0,
             "low-σ_AI hardware should see no low-AI tiles:\n{}",
             low.ascii_art()
         );
-        let high = plan_dmt(26, 64, 64, &ChipSpec::kp920(), opts);
+        let high = plan_t2(26, 64, 64, &ChipSpec::kp920(), opts);
         assert!(high.low_ai_count(&ChipSpec::kp920()) <= 2);
     }
 
@@ -237,7 +257,7 @@ mod tests {
     fn dmt_covers_awkward_shapes_exactly() {
         let chip = ChipSpec::graviton2();
         for (m, n) in [(1, 4), (3, 8), (7, 12), (11, 20), (26, 36), (53, 92), (17, 4)] {
-            let plan = plan_dmt(m, n, 32, &chip, default_opts());
+            let plan = plan_t2(m, n, 32, &chip, default_opts());
             plan.validate(4).unwrap_or_else(|e| panic!("{m}x{n}: {e}"));
         }
     }
@@ -245,7 +265,7 @@ mod tests {
     #[test]
     fn sve_dmt_uses_16_lane_tiles() {
         let chip = ChipSpec::a64fx();
-        let plan = plan_dmt(24, 64, 64, &chip, default_opts());
+        let plan = plan_t2(24, 64, 64, &chip, default_opts());
         plan.validate(16).expect("cover");
         assert!(plan.placements.iter().all(|p| p.tile.nr % 16 == 0));
     }
@@ -255,7 +275,7 @@ mod tests {
         // 26 = 5*4 + 6 = ... DMT should find e.g. 16+20 column split with
         // 5x16/4x20-family tiles rather than 1-wide strips.
         let chip = ChipSpec::m2();
-        let plan = plan_dmt(26, 36, 64, &chip, default_opts());
+        let plan = plan_t2(26, 36, 64, &chip, default_opts());
         let tiny = plan.placements.iter().filter(|p| p.tile.mr == 1 && p.tile.nr <= 8).count();
         assert!(tiny <= 1, "too many tiny tiles:\n{}", plan.ascii_art());
     }

@@ -31,7 +31,7 @@ impl std::fmt::Display for Strategy {
 /// the placement of its top-left corner. `eff_rows/eff_cols` give the
 /// portion that lands inside the block; anything beyond is padded work
 /// (only the OpenBLAS strategy produces padding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TilePlacement {
     pub row: usize,
     pub col: usize,

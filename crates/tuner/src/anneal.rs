@@ -98,7 +98,7 @@ pub fn anneal_logged(
     let mut measured: Vec<(Schedule, f64)> = (0..cfg.seed_batch)
         .map(|_| {
             let s = space.random(&mut rng);
-            let c = schedule_cost(&s, chip).total();
+            let c = schedule_cost(&s, chip, &space.menu).total();
             (s, c)
         })
         .collect();
@@ -133,7 +133,7 @@ pub fn anneal_logged(
         let mut verified = 0usize;
         let mut error_sum = 0.0f64;
         for cand in proposals.into_iter().take(8) {
-            let c = schedule_cost(&cand, chip).total();
+            let c = schedule_cost(&cand, chip, &space.menu).total();
             if c > 0.0 {
                 error_sum += (model.predict(&cand) - c).abs() / c;
                 verified += 1;
@@ -163,11 +163,12 @@ mod tests {
         let space = SearchSpace::new(128, 784, 128, &chip);
         let cfg = AnnealConfig { rounds: 2, steps_per_round: 80, ..Default::default() };
         let tuned = anneal(&space, &chip, &cfg);
-        let tuned_cost = schedule_cost(&tuned, &chip).total();
+        let tuned_cost = schedule_cost(&tuned, &chip, &space.menu).total();
 
         let mut rng = StdRng::seed_from_u64(7);
-        let mut random_costs: Vec<f64> =
-            (0..24).map(|_| schedule_cost(&space.random(&mut rng), &chip).total()).collect();
+        let mut random_costs: Vec<f64> = (0..24)
+            .map(|_| schedule_cost(&space.random(&mut rng), &chip, &space.menu).total())
+            .collect();
         random_costs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = random_costs[random_costs.len() / 2];
         assert!(tuned_cost <= median, "tuned {tuned_cost:.0} worse than random median {median:.0}");
@@ -199,7 +200,10 @@ mod tests {
         for w in log.windows(2) {
             assert!(w[1].best_cost <= w[0].best_cost);
         }
-        assert_eq!(log.last().unwrap().best_cost, schedule_cost(&tuned, &chip).total());
+        assert_eq!(
+            log.last().unwrap().best_cost,
+            schedule_cost(&tuned, &chip, &space.menu).total()
+        );
         // The wrapper must agree with the logged variant's winner.
         assert_eq!(anneal(&space, &chip, &cfg), tuned);
     }

@@ -3,7 +3,8 @@
 //! Three components, all in projected single-core cycles:
 //!
 //! * **compute** — the DMT plan of one cache block (Eqn 13 with the `σ_AI`
-//!   derating), times the number of blocks;
+//!   derating) over the caller's micro-kernel menu, times the number of
+//!   blocks;
 //! * **traffic** — a loop-order-aware data-movement model: each operand
 //!   panel is re-streamed once per iteration of every loop that encloses
 //!   its reuse region, and the resulting bytes are charged at the cache
@@ -15,6 +16,7 @@
 
 use crate::space::{LoopIndex, Packing, Schedule};
 use autogemm_arch::ChipSpec;
+use autogemm_kernelgen::MicroTile;
 use autogemm_perfmodel::ModelOpts;
 use autogemm_tiling::plan_dmt;
 use parking_lot::Mutex;
@@ -23,23 +25,32 @@ use std::sync::OnceLock;
 
 /// Process-wide memo of per-block DMT costs: DMT planning is by far the
 /// most expensive part of scoring a schedule, and many schedules share the
-/// same `(chip, m_c, n_c, k_c)` block.
-type BlockCostMap = HashMap<(&'static str, usize, usize, usize), f64>;
+/// same `(chip, m_c, n_c, k_c)` block. One chip may be planned over more
+/// than one menu in a process (Table II for the simulator, the host menu
+/// for native runs), so the memo is keyed by the menu first.
+type BlockCostMap = HashMap<Vec<MicroTile>, HashMap<(&'static str, usize, usize, usize), f64>>;
 
 fn block_cost_memo() -> &'static Mutex<BlockCostMap> {
     static MEMO: OnceLock<Mutex<BlockCostMap>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Effective cycles of one DMT-tiled block, memoized.
-fn block_cycles(mc: usize, nc: usize, kc: usize, chip: &ChipSpec, opts: ModelOpts) -> f64 {
+/// Effective cycles of one block DMT-tiled over `menu`, memoized.
+fn block_cycles(
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    chip: &ChipSpec,
+    opts: ModelOpts,
+    menu: &[MicroTile],
+) -> f64 {
     let key = (chip.id, mc, nc, kc);
-    if let Some(&c) = block_cost_memo().lock().get(&key) {
+    if let Some(&c) = block_cost_memo().lock().get(menu).and_then(|m| m.get(&key)) {
         return c;
     }
-    let plan = plan_dmt(mc, nc, kc, chip, opts);
+    let plan = plan_dmt(mc, nc, kc, chip, opts, menu);
     let c = plan.effective_cycles(kc, chip, opts);
-    block_cost_memo().lock().insert(key, c);
+    block_cost_memo().lock().entry(menu.to_vec()).or_default().insert(key, c);
     c
 }
 
@@ -170,12 +181,13 @@ pub fn no_packing_penalty(sched: &Schedule, chip: &ChipSpec) -> f64 {
     }
 }
 
-/// Score one schedule on one chip (single core).
-pub fn schedule_cost(sched: &Schedule, chip: &ChipSpec) -> CostBreakdown {
+/// Score one schedule on one chip (single core), with its blocks
+/// DMT-tiled over `menu`.
+pub fn schedule_cost(sched: &Schedule, chip: &ChipSpec, menu: &[MicroTile]) -> CostBreakdown {
     let opts = ModelOpts { rotate: true, fused: true };
     let (tm, tn, tk) = sched.block_trips();
     let blocks = (tm * tn * tk) as f64;
-    let compute = block_cycles(sched.mc, sched.nc, sched.kc, chip, opts) * blocks;
+    let compute = block_cycles(sched.mc, sched.nc, sched.kc, chip, opts, menu) * blocks;
     let traffic =
         traffic_cycles(sched, chip, traffic_bytes(sched)) * no_packing_penalty(sched, chip);
     let packing = packing_cycles(sched, chip);
@@ -186,6 +198,10 @@ pub fn schedule_cost(sched: &Schedule, chip: &ChipSpec) -> CostBreakdown {
 mod tests {
     use super::*;
     use crate::space::LoopOrder;
+
+    fn cost(s: &Schedule, chip: &ChipSpec) -> CostBreakdown {
+        schedule_cost(s, chip, &autogemm_kernelgen::tiles::table_menu(chip.sigma_lane()))
+    }
 
     fn sched(m: usize, n: usize, k: usize, mc: usize, nc: usize, kc: usize) -> Schedule {
         Schedule { m, n, k, mc, nc, kc, order: LoopOrder::goto(), packing: Packing::Offline }
@@ -222,7 +238,7 @@ mod tests {
     fn compute_dominates_for_cache_resident_blocks() {
         let chip = ChipSpec::graviton2();
         let s = sched(64, 64, 64, 64, 64, 64);
-        let c = schedule_cost(&s, &chip);
+        let c = cost(&s, &chip);
         assert!(c.compute > 0.0);
         assert!(c.total() >= c.compute);
     }
@@ -232,9 +248,9 @@ mod tests {
         let chip = ChipSpec::kp920();
         let mut s = sched(256, 784, 128, 64, 112, 64);
         s.packing = Packing::Offline;
-        let off = schedule_cost(&s, &chip).total();
+        let off = cost(&s, &chip).total();
         s.packing = Packing::Online;
-        let on = schedule_cost(&s, &chip).total();
+        let on = cost(&s, &chip).total();
         assert!(on > off);
     }
 
@@ -243,17 +259,17 @@ mod tests {
         let chip = ChipSpec::kp920();
         let mut s = sched(256, 3136, 64, 64, 3136, 64);
         s.packing = Packing::None;
-        let none = schedule_cost(&s, &chip).total();
+        let none = cost(&s, &chip).total();
         s.packing = Packing::Offline;
-        let off = schedule_cost(&s, &chip).total();
+        let off = cost(&s, &chip).total();
         assert!(none > off, "unpacked {none:.0} should exceed offline {off:.0}");
     }
 
     #[test]
     fn smaller_kc_blocks_fit_but_cost_more_overhead() {
         let chip = ChipSpec::graviton2();
-        let big = schedule_cost(&sched(256, 256, 256, 64, 64, 256), &chip);
-        let small = schedule_cost(&sched(256, 256, 256, 64, 64, 8), &chip);
+        let big = cost(&sched(256, 256, 256, 64, 64, 256), &chip);
+        let small = cost(&sched(256, 256, 256, 64, 64, 8), &chip);
         assert!(
             small.compute > big.compute,
             "tiny k_c blocks pay prologue/epilogue overhead repeatedly"

@@ -10,7 +10,9 @@
 //! * **loop order** `σ_order` — all `5! = 120` permutations of the
 //!   `(M_c, N_c, K_c, M_r, N_r)` loops;
 //! * **packing** `σ_packing` — `none`, `offline`, or `online`;
-//! * **micro-tile** — chosen per block by DMT (Algorithm 1).
+//! * **micro-tile** — chosen per block by DMT (Algorithm 1) over a tile
+//!   menu: Table II by default, or the caller's (native runs plan over
+//!   the host's register-feasible menu).
 //!
 //! Components:
 //!
@@ -35,6 +37,7 @@ pub use cost::{schedule_cost, CostBreakdown};
 pub use space::{enumerate_blocks, LoopOrder, Packing, Schedule, SearchSpace};
 
 use autogemm_arch::ChipSpec;
+use autogemm_kernelgen::{tiles, MicroTile};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -43,16 +46,25 @@ use std::collections::HashMap;
 /// Exhaustively scores the pruned candidate list with the cost model when
 /// it is small, and falls back to surrogate-guided simulated annealing for
 /// large spaces — mirroring how the paper uses Eqn 13 to prune before
-/// handing the rest to TVM.
+/// handing the rest to TVM. Blocks are scored over the chip's Table II
+/// menu.
 pub fn tune(m: usize, n: usize, k: usize, chip: &ChipSpec) -> Schedule {
-    tune_with(m, n, k, chip, false)
+    tune_with(m, n, k, chip, false, &tiles::table_menu(chip.sigma_lane()))
 }
 
 /// [`tune`] with offline packing optionally on the menu (enable it when
 /// the packed `B` will be reused across calls, as in the paper's
-/// LibShalom-comparable configuration).
-pub fn tune_with(m: usize, n: usize, k: usize, chip: &ChipSpec, allow_offline: bool) -> Schedule {
-    let mut space = SearchSpace::new(m, n, k, chip);
+/// LibShalom-comparable configuration), scoring blocks over the
+/// micro-kernel shapes of `menu`.
+pub fn tune_with(
+    m: usize,
+    n: usize,
+    k: usize,
+    chip: &ChipSpec,
+    allow_offline: bool,
+    menu: &[MicroTile],
+) -> Schedule {
+    let mut space = SearchSpace::new(m, n, k, chip).with_menu(menu);
     if allow_offline {
         space = space.with_offline();
     }
@@ -61,7 +73,7 @@ pub fn tune_with(m: usize, n: usize, k: usize, chip: &ChipSpec, allow_offline: b
     if space.block_candidates.len() * 6 <= 4096 {
         let mut best: Option<(f64, Schedule)> = None;
         for sched in space.pruned_candidates() {
-            let c = schedule_cost(&sched, chip).total();
+            let c = schedule_cost(&sched, chip, menu).total();
             if best.as_ref().is_none_or(|(b, _)| c < *b) {
                 best = Some((c, sched));
             }
@@ -76,7 +88,7 @@ pub fn tune_with(m: usize, n: usize, k: usize, chip: &ChipSpec, allow_offline: b
 /// (§V-C): the K loop cannot be parallelized, and in the multi-threaded
 /// configuration `k_c` stays consistent with `K` — which is exactly why
 /// large-K ResNet layers (L7, L12, L17, L20) lose performance on many
-/// cores (Fig 9, lower).
+/// cores (Fig 9, lower). Blocks are scored over `menu`.
 pub fn tune_multicore(
     m: usize,
     n: usize,
@@ -84,8 +96,9 @@ pub fn tune_multicore(
     chip: &ChipSpec,
     allow_offline: bool,
     threads: usize,
+    menu: &[MicroTile],
 ) -> Schedule {
-    let mut space = SearchSpace::new(m, n, k, chip);
+    let mut space = SearchSpace::new(m, n, k, chip).with_menu(menu);
     if allow_offline {
         space = space.with_offline();
     }
@@ -118,7 +131,7 @@ pub fn tune_multicore(
     // bandwidth (single-core scoring would never pay for packing that only
     // matters once 70 cores contend for memory).
     let score = |sched: &Schedule| -> f64 {
-        let parts = schedule_cost(sched, chip);
+        let parts = schedule_cost(sched, chip, &space.menu);
         let freq_hz = chip.freq_ghz * 1e9;
         let compute_s = parts.compute / threads as f64 / freq_hz;
         let pack_s = parts.packing / threads as f64 / freq_hz;
@@ -136,7 +149,8 @@ pub fn tune_multicore(
 /// by cache-block shape. The engine verifies these on the simulator and
 /// keeps the measured best — the AutoTVM measure-the-shortlist workflow,
 /// which matters on chips whose pipelines the analytic model captures
-/// imperfectly.
+/// imperfectly. Blocks are scored over `menu`.
+#[allow(clippy::too_many_arguments)]
 pub fn tune_multicore_topk(
     m: usize,
     n: usize,
@@ -144,12 +158,13 @@ pub fn tune_multicore_topk(
     chip: &ChipSpec,
     allow_offline: bool,
     threads: usize,
+    menu: &[MicroTile],
     topk: usize,
 ) -> Vec<Schedule> {
     // Re-run the candidate construction of tune_multicore, keeping the
     // whole ranked list.
-    let best = tune_multicore(m, n, k, chip, allow_offline, threads);
-    let mut space = SearchSpace::new(m, n, k, chip);
+    let best = tune_multicore(m, n, k, chip, allow_offline, threads, menu);
+    let mut space = SearchSpace::new(m, n, k, chip).with_menu(menu);
     if allow_offline {
         space = space.with_offline();
     }
@@ -175,7 +190,7 @@ pub fn tune_multicore_topk(
         }
     }
     let score = |sched: &Schedule| -> f64 {
-        let parts = schedule_cost(sched, chip);
+        let parts = schedule_cost(sched, chip, &space.menu);
         let freq_hz = chip.freq_ghz * 1e9;
         let compute_s = parts.compute / threads as f64 / freq_hz;
         let pack_s = parts.packing / threads as f64 / freq_hz;
@@ -287,7 +302,7 @@ mod tests {
         let s = tune(256, 3136, 64, &chip);
         assert_ne!(s.packing, Packing::None, "large N benefits from packing");
         // With reuse promised, offline packing becomes available and wins.
-        let off = tune_with(256, 3136, 64, &chip, true);
+        let off = tune_with(256, 3136, 64, &chip, true, &tiles::table_menu(4));
         assert_eq!(off.packing, Packing::Offline);
     }
 

@@ -1,6 +1,7 @@
 //! The tuning parameter space (§IV-C2).
 
 use autogemm_arch::ChipSpec;
+use autogemm_kernelgen::{tiles, MicroTile};
 use serde::{Deserialize, Serialize};
 
 /// The five blocked loops of the GEMM nest.
@@ -191,6 +192,11 @@ pub struct SearchSpace {
     /// when the caller actually reuses the packed operand (LibShalom-style
     /// usage); it must be explicitly enabled.
     pub allow_offline: bool,
+    /// Micro-kernel shapes DMT tiles each block with when a schedule is
+    /// scored: the chip's Table II menu unless [`Self::with_menu`]
+    /// narrows it (native runs plan over the host's register-feasible
+    /// menu).
+    pub menu: Vec<MicroTile>,
 }
 
 impl SearchSpace {
@@ -203,7 +209,15 @@ impl SearchSpace {
             block_candidates: enumerate_blocks(m, n, k, chip),
             orders,
             allow_offline: false,
+            menu: tiles::table_menu(chip.sigma_lane()),
         }
+    }
+
+    /// Score schedules with blocks DMT-tiled over `menu` instead of
+    /// Table II.
+    pub fn with_menu(mut self, menu: &[MicroTile]) -> Self {
+        self.menu = menu.to_vec();
+        self
     }
 
     /// Enable offline packing as a candidate (the caller promises reuse).

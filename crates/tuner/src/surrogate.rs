@@ -144,7 +144,7 @@ mod tests {
         space
             .pruned_candidates()
             .map(|s| {
-                let c = schedule_cost(&s, chip).total();
+                let c = schedule_cost(&s, chip, &space.menu).total();
                 (s, c)
             })
             .collect()

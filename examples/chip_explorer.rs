@@ -25,7 +25,7 @@ fn main() {
 
     for chip in ChipSpec::all_evaluated() {
         let engine = AutoGemm::new(chip.clone());
-        let plan = engine.plan(m, n, k);
+        let plan = engine.model_plan(m, n, k);
         let report = engine.simulate(m, n, k, 1);
         let roof = Roofline::single_core(&chip);
         println!(

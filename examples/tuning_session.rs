@@ -31,7 +31,8 @@ fn main() {
     );
 
     // Rank the pruned candidates with the Eqn 13 cost model.
-    let mut scored: Vec<_> = pruned.iter().map(|s| (schedule_cost(s, &chip).total(), s)).collect();
+    let mut scored: Vec<_> =
+        pruned.iter().map(|s| (schedule_cost(s, &chip, &space.menu).total(), s)).collect();
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
     println!("top 5 candidates by the pruning cost model:");
     for (cost, s) in scored.iter().take(5) {
@@ -48,7 +49,7 @@ fn main() {
     // Run the surrogate-guided annealer over the same space.
     let cfg = AnnealConfig::default();
     let best = anneal(&space, &chip, &cfg);
-    let best_cost = schedule_cost(&best, &chip).total();
+    let best_cost = schedule_cost(&best, &chip, &space.menu).total();
     println!(
         "\nannealer (boosted-stumps surrogate, {} rounds x {} steps) found:",
         cfg.rounds, cfg.steps_per_round

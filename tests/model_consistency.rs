@@ -56,7 +56,7 @@ fn derated_metric_ranks_plans_like_the_simulator() {
         warmth: None,
         routing: autogemm::OperandRouting::packed(),
     };
-    let dmt = mk_plan(plan_dmt(m, n, kc, &chip, opts));
+    let dmt = mk_plan(plan_dmt(m, n, kc, &chip, opts, &autogemm_kernelgen::tiles::table_menu(4)));
     let xsmm = mk_plan(plan_libxsmm(m, n, MicroTile::new(5, 16), 4));
 
     let model_prefers_dmt = dmt.block_plan.effective_cycles(kc, &chip, opts)

@@ -88,7 +88,7 @@ fn fig11_a64fx_scaling_collapses() {
     let (m, n, k) = (64, 12544, 147);
     let eff_at_full = |chip: ChipSpec| {
         let engine = AutoGemm::new(chip.clone());
-        let plan = engine.plan_multicore(m, n, k, chip.cores);
+        let plan = engine.model_plan_multicore(m, n, k, chip.cores);
         let t1 = engine.simulate_with_plan(&plan, 1).seconds;
         let tn = engine.simulate_with_plan(&plan, chip.cores).seconds;
         t1 / tn / chip.cores as f64
@@ -140,13 +140,13 @@ fn fig12_end_to_end_wins() {
 /// and (on low-σ_AI hardware) no low-AI tiles.
 #[test]
 fn fig5_dmt_worked_example() {
-    use autogemm_kernelgen::MicroTile;
+    use autogemm_kernelgen::{tiles, MicroTile};
     use autogemm_perfmodel::ModelOpts;
     use autogemm_tiling::*;
     let opts = ModelOpts { rotate: true, fused: true };
     let ob = plan_openblas(26, 36, MicroTile::new(5, 16));
     let xs = plan_libxsmm(26, 36, MicroTile::new(5, 16), 4);
-    let dmt = plan_dmt(26, 36, 64, &ChipSpec::graviton2(), opts);
+    let dmt = plan_dmt(26, 36, 64, &ChipSpec::graviton2(), opts, &tiles::table_menu(4));
     assert_eq!(ob.tile_count(), 18);
     assert_eq!(xs.tile_count(), 18);
     assert!(dmt.tile_count() <= 14, "paper: 13 tiles, got {}", dmt.tile_count());

@@ -2,13 +2,18 @@
 //! across randomized shapes (the corner cases Fig 5/7 can't enumerate).
 
 use autogemm_arch::ChipSpec;
-use autogemm_kernelgen::MicroTile;
+use autogemm_kernelgen::{tiles, MicroTile};
 use autogemm_perfmodel::ModelOpts;
-use autogemm_tiling::{plan_dmt, plan_libxsmm, plan_openblas};
+use autogemm_tiling::{plan_dmt, plan_libxsmm, plan_openblas, TilePlan};
 use proptest::prelude::*;
 
 fn opts() -> ModelOpts {
     ModelOpts { rotate: true, fused: true }
+}
+
+/// Algorithm 1 over the chip's Table II menu.
+fn plan_t2(m: usize, n: usize, kc: usize, chip: &ChipSpec) -> TilePlan {
+    plan_dmt(m, n, kc, chip, opts(), &tiles::table_menu(chip.sigma_lane()))
 }
 
 proptest! {
@@ -19,7 +24,7 @@ proptest! {
     fn dmt_plans_always_cover(m in 1usize..72, nv in 1usize..20) {
         let n = nv * 4;
         let chip = ChipSpec::graviton2();
-        let plan = plan_dmt(m, n, 48, &chip, opts());
+        let plan = plan_t2(m, n, 48, &chip);
         prop_assert!(plan.validate(4).is_ok(), "{m}x{n}: {:?}", plan.validate(4));
     }
 
@@ -30,7 +35,7 @@ proptest! {
         let n = nv * 4;
         let chip = ChipSpec::kp920();
         let kc = 32;
-        let dmt = plan_dmt(m, n, kc, &chip, opts()).effective_cycles(kc, &chip, opts());
+        let dmt = plan_t2(m, n, kc, &chip).effective_cycles(kc, &chip, opts());
         let tile = MicroTile::new(5, 16);
         let ob = plan_openblas(m, n, tile).effective_cycles(kc, &chip, opts());
         let xs = plan_libxsmm(m, n, tile, 4).effective_cycles(kc, &chip, opts());
@@ -69,7 +74,7 @@ proptest! {
 fn dmt_handles_degenerate_blocks() {
     let chip = ChipSpec::graviton2();
     for (m, n) in [(1, 4), (1, 128), (72, 4), (2, 8), (3, 4)] {
-        let plan = plan_dmt(m, n, 16, &chip, opts());
+        let plan = plan_t2(m, n, 16, &chip);
         plan.validate(4).unwrap_or_else(|e| panic!("{m}x{n}: {e}"));
         assert!(plan.tile_count() >= 1);
     }
@@ -79,7 +84,7 @@ fn dmt_handles_degenerate_blocks() {
 fn sve_plans_cover_with_16_lane_tiles() {
     let chip = ChipSpec::a64fx();
     for (m, n) in [(8, 16), (24, 64), (13, 48)] {
-        let plan = plan_dmt(m, n, 32, &chip, opts());
+        let plan = plan_t2(m, n, 32, &chip);
         plan.validate(16).unwrap_or_else(|e| panic!("{m}x{n}: {e}"));
     }
 }
