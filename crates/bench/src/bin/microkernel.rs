@@ -9,8 +9,9 @@
 //! a hot, packed `kc = 256` panel pair, then records:
 //!
 //! * achieved GFLOP/s of both kernels and the SIMD/scalar speedup;
-//! * the vector registers the kernel keeps live
-//!   ([`autogemm::native::live_registers`]) and whether the shape is on
+//! * the vector columns `c = ⌈n_r / W⌉` and registers the kernel keeps
+//!   live on the dispatched backend, whose widest vector holds `W` lanes
+//!   ([`autogemm::native::live_registers`]), and whether the shape is on
 //!   the host menu native plans are tiled over
 //!   ([`autogemm::native::host_menu`] for a 4-lane planning chip);
 //! * the perfmodel's projected cycles for the same `(tile, kc)` on the
@@ -93,7 +94,8 @@ fn main() {
     let (reps, min_sample_s) = if smoke { (5, 1e-4) } else { (15, 1e-3) };
     let chip = ChipSpec::graviton2();
     let backend = SimdBackend::detect();
-    println!("dispatched SIMD backend: {}", backend.name());
+    let lanes = backend.lanes();
+    println!("dispatched SIMD backend: {} ({lanes} lanes)", backend.name());
 
     let host = host_menu(chip.sigma_lane());
     let menu: Vec<(usize, usize)> = if smoke {
@@ -152,7 +154,7 @@ fn main() {
             e.model_cycles,
             e.model_flops_per_cycle,
             e.simd_gflops / e.model_flops_per_cycle,
-            live_registers(mr, nr),
+            live_registers(mr, nr, lanes),
             if host.contains(&tile) { "" } else { " (off the host menu)" },
         );
         entries.push(e);
@@ -169,6 +171,7 @@ fn main() {
         "  \"command\": \"cargo run --release -p autogemm-bench --bin microkernel\","
     );
     let _ = writeln!(json, "  \"backend\": \"{}\",", backend.name());
+    let _ = writeln!(json, "  \"lanes\": {lanes},");
     let _ = writeln!(json, "  \"kc\": {KC},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"model_chip\": \"{}\",", chip.id);
@@ -179,7 +182,8 @@ fn main() {
             json,
             "    {{\"mr\": {}, \"nr\": {}, \"simd_gflops\": {:.3}, \"scalar_gflops\": {:.3}, \
              \"speedup\": {:.3}, \"model_cycles\": {:.1}, \"model_flops_per_cycle\": {:.3}, \
-             \"effective_ghz\": {:.3}, \"live_registers\": {}, \"host_menu\": {}}}",
+             \"effective_ghz\": {:.3}, \"vector_columns\": {}, \"live_registers\": {}, \
+             \"host_menu\": {}}}",
             e.mr,
             e.nr,
             e.simd_gflops,
@@ -188,7 +192,8 @@ fn main() {
             e.model_cycles,
             e.model_flops_per_cycle,
             e.simd_gflops / e.model_flops_per_cycle,
-            live_registers(e.mr, e.nr),
+            e.nr.div_ceil(lanes),
+            live_registers(e.mr, e.nr, lanes),
             host.contains(&MicroTile::new(e.mr, e.nr)),
         );
         let _ = writeln!(json, "{}", if i + 1 < entries.len() { "," } else { "" });

@@ -192,18 +192,6 @@ fn measure(
     }
 }
 
-/// Reads this process's thread count from /proc (Linux CI hosts); 0
-/// where /proc is absent, which disables the stability assert.
-fn os_thread_count() -> u64 {
-    std::fs::read_to_string("/proc/self/stat")
-        .ok()
-        .and_then(|s| {
-            let rest = &s[s.rfind(')')? + 2..];
-            rest.split_whitespace().nth(17)?.parse::<u64>().ok()
-        })
-        .unwrap_or(0)
-}
-
 /// Fast CI guard: pooled dispatch must be bit-identical to scoped, not
 /// slower beyond noise, spawn no OS threads per call and leak no
 /// workers. Gates are generous — these are µs-scale medians on shared
@@ -223,12 +211,14 @@ fn smoke() {
     );
 
     // Zero per-call OS thread creation: a warmed-up stream must leave
-    // the process thread count untouched.
+    // the runtime's spawn count untouched. Unlike the process thread
+    // count, it does not move while threads spawned earlier (the scoped
+    // baseline's) are still exiting.
     let (a, b) = data(m, n, k);
     let mut c = vec![0.0f32; m * n];
     let opts = GemmOptions::new().threads(threads);
     engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).expect("smoke call failed");
-    let threads_before = os_thread_count();
+    let spawned_before = rt.threads_spawned();
     let submissions_before = rt.stats().submissions;
     for _ in 0..64 {
         engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).expect("smoke call failed");
@@ -236,9 +226,7 @@ fn smoke() {
     let stats = rt.stats();
     assert!(stats.submissions > submissions_before, "stream bypassed the pool");
     assert_eq!(rt.alive_workers(), stats.workers as usize, "pool leaked a worker");
-    if threads_before > 0 {
-        assert_eq!(os_thread_count(), threads_before, "threaded calls created OS threads");
-    }
+    assert_eq!(rt.threads_spawned(), spawned_before, "threaded calls created OS threads");
     println!(
         "pool_overhead smoke passed: pooled/scoped p50 ratio {:.3}, overhead ratio {:.1}x, \
          {} workers alive.",

@@ -39,10 +39,12 @@
 //!   (pack-call accounting lives on the traced call's observer);
 //! * [`simd`] — the explicit SIMD lane layer: a 4-lane `f32` vector
 //!   over NEON (aarch64), SSE2/FMA (x86_64, FMA runtime-detected) or a
-//!   portable array fallback, plus the cached backend probe;
-//! * [`kernels`] — the vector micro-kernels built on it: `(m_r, n̄_r)`
-//!   register tiles of `F32x4` accumulators with a 4×-unrolled FMA main
-//!   loop, full-tile fast path and masked edge path;
+//!   portable array fallback, an 8-lane AVX2 vector (x86_64, AVX2 and
+//!   FMA runtime-detected), plus the cached backend probe;
+//! * [`kernels`] — the vector micro-kernels built on it: one generic
+//!   body holding `(m_r, n_r)` register tiles of `F32x4` accumulators,
+//!   or on AVX2 of `F32x8` columns plus an `F32x4` tail, with a
+//!   4×-unrolled FMA main loop, full-tile fast path and staged edge path;
 //! * [`native`] — the kernel dispatch table (monomorphized for every
 //!   Table II shape, scalar reference retained as oracle/baseline) and
 //!   the panel-cache block driver: every operand panel packed exactly

@@ -2,10 +2,10 @@
 //! threaded block driver.
 //!
 //! The micro-kernels are monomorphized over `(m_r, n̄_r)` for every shape
-//! in the Table II menu and execute as explicit `(m_r, n̄_r)` register
-//! tiles of [`crate::simd::F32x4`] accumulators — NEON on aarch64,
-//! SSE2/FMA (runtime-detected) on x86_64, a portable array fallback
-//! elsewhere; see [`crate::kernels`]. The scalar reference kernel
+//! in the Table II menu and execute as explicit register tiles of vector
+//! accumulators — NEON on aarch64, 256-bit AVX2 or 128-bit SSE2/FMA
+//! (runtime-detected) on x86_64, a portable array fallback elsewhere;
+//! see [`crate::kernels`]. The scalar reference kernel
 //! ([`micro_kernel_ref`]) is kept as the correctness baseline every
 //! vector kernel is tested and benchmarked against
 //! ([`run_placement_ref`] drives it through the same dispatch table).
@@ -48,7 +48,7 @@ use crate::packing::{
 };
 use crate::plan::ExecutionPlan;
 use crate::runtime::Exec;
-use crate::simd::{LANES, REGISTER_BUDGET};
+use crate::simd::{SimdBackend, REGISTER_BUDGET};
 use crate::supervisor::{BreakerPath, RunMonitor, Supervision};
 use crate::telemetry::clock::Stamp;
 use crate::telemetry::observer::{CallObserver, TileTally};
@@ -303,21 +303,21 @@ impl CTile {
         CTile { ptr: unsafe { self.ptr.add(off) }, ldc: self.ldc, len: self.len - off }
     }
 
-    /// Pointer to cell `(i, j)` with room for a vector of [`LANES`]
-    /// elements — the vector kernels' load/store access.
+    /// Pointer to the first cell of row `i`, with `width` cells of that
+    /// row in bounds — the vector kernels' load/store access.
     ///
     /// # Safety
-    /// The 4 cells starting at `(i, j)` must be inside this handle's
-    /// allocation and owned by the calling thread.
+    /// The `width` cells starting at `(i, 0)` must be inside this
+    /// handle's allocation and owned by the calling thread.
     #[inline(always)]
-    pub(crate) unsafe fn lanes_ptr(&self, i: usize, j: usize) -> *mut f32 {
+    pub(crate) unsafe fn row_ptr(&self, i: usize, width: usize) -> *mut f32 {
         debug_assert!(
-            i * self.ldc + j + crate::simd::LANES <= self.len,
-            "CTile vector access ({i},{j}) ldc={} beyond len {}",
+            i * self.ldc + width <= self.len,
+            "CTile row {i} of {width} cells, ldc={} beyond len {}",
             self.ldc,
             self.len
         );
-        self.ptr.add(i * self.ldc + j)
+        self.ptr.add(i * self.ldc)
     }
 
     #[inline(always)]
@@ -528,32 +528,79 @@ pub const KERNEL_MENU: &[(usize, usize)] = &[
     (8, 8),
 ];
 
-/// Vector registers the native kernel keeps live for an `mr × nr` tile:
-/// `mr·n̄_r` accumulators, one `B` row of `n̄_r` vectors and one `A`
-/// broadcast, with `n̄_r = nr / LANES` (the kernel's k-step; compare
+/// Vector registers the native kernel keeps live for an `mr × nr` tile
+/// on a backend whose widest vector holds `lanes` `f32`s: `mr·c`
+/// accumulators, one `B` row of `c` vectors and one `A` broadcast, with
+/// `c = ⌈nr / lanes⌉` vector columns (the kernel's k-step; compare
 /// Table II's `m_r·n̄_r + m_r + n̄_r`, which keeps every `A` row in a
-/// register).
-pub fn live_registers(mr: usize, nr: usize) -> usize {
-    let nrv = nr / LANES;
-    mr * nrv + nrv + 1
+/// register). On AVX2 an odd 4-lane column left over takes one register
+/// of its own, hence the ceiling.
+pub fn live_registers(mr: usize, nr: usize, lanes: usize) -> usize {
+    let c = nr.div_ceil(lanes);
+    mr * c + c + 1
 }
 
-/// The tile menu native plans are DMT-tiled over: the [`KERNEL_MENU`]
-/// shapes whose [`live_registers`] fit the target's
+/// The tile menu native plans are DMT-tiled over on a backend whose
+/// widest vector holds `lanes` `f32`s: the [`KERNEL_MENU`] shapes whose
+/// [`live_registers`] fit the target's
 /// [`REGISTER_BUDGET`](crate::simd::REGISTER_BUDGET) and whose `n_r` is a
 /// multiple of the planning chip's `sigma_lane`. On aarch64 this is the
-/// whole menu for 4-lane chips; on x86_64 it drops the tiles that would
-/// spill the 16 XMM registers (3×24, 4×16, 4×20, …). The menu is closed
-/// under shrinking, so DMT's edge tiles stay on it, and it is never
-/// empty for a 4- or 16-lane chip.
-pub fn host_menu(sigma_lane: usize) -> Vec<MicroTile> {
+/// whole menu for 4-lane chips. On x86_64 with 4 lanes it is 24 shapes
+/// (3×24, 4×16, 4×20, … would spill the 16 XMM registers); with AVX2's
+/// 8 lanes it is 36, all but 3×28 and 7×12. The menu is closed under
+/// shrinking, so DMT's edge tiles stay on it, and it is never empty for
+/// a 4- or 16-lane chip.
+pub fn host_menu_for(sigma_lane: usize, lanes: usize) -> Vec<MicroTile> {
     KERNEL_MENU
         .iter()
         .filter(|&&(mr, nr)| {
-            live_registers(mr, nr) <= REGISTER_BUDGET && nr.is_multiple_of(sigma_lane)
+            live_registers(mr, nr, lanes) <= REGISTER_BUDGET && nr.is_multiple_of(sigma_lane)
         })
         .map(|&(mr, nr)| MicroTile::new(mr, nr))
         .collect()
+}
+
+/// [`host_menu_for`] at the detected backend's lane count
+/// ([`SimdBackend::lanes`]).
+pub fn host_menu(sigma_lane: usize) -> Vec<MicroTile> {
+    host_menu_for(sigma_lane, SimdBackend::detect().lanes())
+}
+
+/// Per-core GFLOP/s no native call on this host can beat: twice the
+/// best rate of the largest host-menu kernels (`σ_lane = 4`), timed once
+/// per process on L1-resident packed panels (about a millisecond). The
+/// service's roofline shed floor divides by it, so it must sit above
+/// anything a call achieves end to end; the 2× margin absorbs timer and
+/// frequency noise.
+pub fn host_peak_gflops() -> f64 {
+    static PEAK: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
+    *PEAK.get_or_init(|| {
+        const KC: usize = 256;
+        let menu = host_menu(4);
+        let area = menu.iter().map(|t| t.mr * t.nr).max().unwrap_or(0);
+        let mut best = 0.0f64;
+        for tile in menu.into_iter().filter(|t| t.mr * t.nr == area) {
+            let (mr, nr) = (tile.mr, tile.nr);
+            let a = vec![0.5f32; mr * KC];
+            let b = vec![0.25f32; KC * nr];
+            let mut c = vec![0.0f32; mr * nr];
+            let p = TilePlacement::full(0, 0, tile);
+            let mut run = |reps: usize| {
+                for _ in 0..reps {
+                    // SAFETY: `c` is `mr × nr`, owned here, at stride `nr`.
+                    let ct = unsafe { CTile::new(c.as_mut_ptr(), nr, c.len()) };
+                    run_placement(std::hint::black_box(&p), KC, &a, KC, &b, nr, ct, false);
+                }
+            };
+            run(16);
+            let reps = 512;
+            let t0 = std::time::Instant::now();
+            run(reps);
+            let secs = t0.elapsed().as_secs_f64().max(1e-9);
+            best = best.max(2.0 * (mr * nr * KC * reps) as f64 / secs / 1e9);
+        }
+        2.0 * best
+    })
 }
 
 /// One menu entry, monomorphized over `(MR, NRV, NR)`: the SIMD kernel

@@ -310,7 +310,14 @@ impl PanelPool {
         let _ = self
             .outstanding
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| Some(cur.saturating_sub(n)));
-        self.free.lock().append(&mut bufs);
+        // Keep the free list ascending by capacity, so `acquire_blocks`
+        // hands out the largest buffers first. Taken in release order
+        // instead, a small buffer grows for a large panel while a large
+        // one sits idle, and over mixed shapes every pooled buffer grows
+        // to the largest panel any call packed.
+        let mut free = self.free.lock();
+        free.append(&mut bufs);
+        free.sort_unstable_by_key(AlignedVec::capacity);
     }
 
     /// Buffers currently pooled.
@@ -422,6 +429,22 @@ mod tests {
         assert_eq!(reused, 3, "all pooled buffers handed back");
         pool.clear();
         assert_eq!(pool.buffered(), 0);
+    }
+
+    #[test]
+    fn panel_pool_hands_out_the_largest_buffers_first() {
+        let pool = PanelPool::new();
+        let mut blocks = pool.acquire_blocks(3);
+        for (b, len) in blocks.iter_mut().zip([64, 4096, 512]) {
+            b.data.resize(len, 1.0);
+        }
+        pool.release_blocks(blocks);
+        let one = pool.acquire_blocks(1);
+        assert!(one[0].data.capacity() >= 4096, "a one-panel call got a small buffer");
+        let two = pool.acquire_blocks(2);
+        let mut caps: Vec<usize> = two.iter().map(|b| b.data.capacity()).collect();
+        caps.sort_unstable();
+        assert!(caps[0] >= 64 && caps[0] < 512 && caps[1] >= 512, "{caps:?}");
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! 3. **Deadline-aware load shedding.** A call that names a deadline
 //!    (its own, or [`ServiceConfig::default_deadline`]) is checked at
 //!    admission *and again at dispatch* against a cost estimate: the
-//!    roofline floor `2mnk / peak` from the chip model, max'd with the
+//!    roofline floor `2mnk / peak` — `peak` per core is the larger of
+//!    the chip model's and the host's measured kernel peak
+//!    ([`crate::native::host_peak_gflops`]), so the floor stays a lower
+//!    bound on hosts faster than the model — max'd with the
 //!    tenant engine's observed p95 call latency once
 //!    [`ShedPolicy::min_samples`] calls have been seen. A call that
 //!    provably cannot finish is shed up front
@@ -437,8 +440,10 @@ impl GemmService {
         threads: usize,
     ) -> u64 {
         let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        // peak_gflops_core is GFLOP/s per core == FLOP/ns per core.
-        let peak = self.chip.peak_gflops_core() * threads.max(1) as f64;
+        // GFLOP/s per core == FLOP/ns per core. A floor is only a floor if
+        // no call beats it, so take the faster of the model and the host.
+        let per_core = self.chip.peak_gflops_core().max(crate::native::host_peak_gflops());
+        let peak = per_core * threads.max(1) as f64;
         let floor = if peak > 0.0 { flops / peak } else { 0.0 };
         let snap = tenant.engine.metrics();
         let observed = if snap.call_latency_ns.count >= self.cfg.shed.min_samples {
@@ -659,5 +664,42 @@ impl GemmService {
         self.cv.notify_all();
 
         result.map(|value| (ServiceReply { queue_wait }, value))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn data(len: usize, seed: u32) -> Vec<f32> {
+        (0..len).map(|i| ((i as u32 * 7 + seed) % 13) as f32 / 8.0 - 0.75).collect()
+    }
+
+    #[test]
+    fn roofline_floor_is_below_warm_call_time_on_a_fresh_tenant() {
+        let svc = GemmService::new(ChipSpec::graviton2(), ServiceConfig::default());
+        let tenant = svc.tenant_state(&TenantId::new("fresh"));
+        let opts = GemmOptions::default().threads(1);
+        // Table V L2, L11 and L16.
+        for (m, n, k) in [(64, 3136, 64), (256, 196, 512), (512, 49, 1024)] {
+            // Below `min_samples` the floor alone is the estimate.
+            let floor_ns = svc.estimate_ns(&tenant, m, n, k, 1);
+            assert!(floor_ns > 0, "{m}x{n}x{k}: empty floor");
+            let (a, b) = (data(m * k, 1), data(k * n, 2));
+            let mut c = vec![0.0f32; m * n];
+            let mut call = || {
+                let t0 = Instant::now();
+                tenant.engine.try_gemm_opts(m, n, k, &a, &b, &mut c, &opts).expect("call");
+                t0.elapsed().as_nanos() as u64
+            };
+            call();
+            let mut times = [call(), call(), call()];
+            times.sort_unstable();
+            assert!(
+                floor_ns <= times[1],
+                "{m}x{n}x{k}: floor {floor_ns} ns above the warm median call {} ns",
+                times[1]
+            );
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! The explicit SIMD lane layer: a 4-lane `f32` vector ([`F32x4`])
-//! matching the paper's `σ_lane = 4` NEON register model, plus the
+//! matching the paper's `σ_lane = 4` NEON register model, an 8-lane AVX2
+//! vector ([`F32x8`]) for x86_64 hosts that have one, the [`Lanes`]
+//! trait the one generic micro-kernel body is written against, and the
 //! runtime backend selection the micro-kernels dispatch on.
 //!
 //! ## Backends
@@ -8,12 +10,18 @@
 //!   (`vld1q_f32` / `vfmaq_f32` / `vst1q_f32`). NEON is baseline on
 //!   aarch64, so this backend needs no runtime detection and multiplies
 //!   are always fused.
-//! * **x86_64** — `core::arch::x86_64` SSE2 intrinsics (baseline on
-//!   x86_64). The fused path (`_mm_fmadd_ps`) additionally requires the
-//!   FMA extension, which is probed **at runtime** with
-//!   `is_x86_feature_detected!("fma")`; kernels compiled for it carry
-//!   `#[target_feature(enable = "fma")]` and are only reachable through
-//!   the probe (see [`SimdBackend::detect`]).
+//! * **x86_64 + AVX2** — 256-bit `YMM` accumulator columns
+//!   (`_mm256_fmadd_ps`), with one 128-bit column for an odd count of
+//!   4-lane columns. AVX2 and FMA are probed **at runtime** with
+//!   `is_x86_feature_detected!`; kernels compiled for them carry
+//!   `#[target_feature(enable = "avx2,fma")]` and are only reachable
+//!   through the probe (see [`SimdBackend::detect`]). Vector width is a
+//!   per-ISA parameter of the same kernel template, as in Exo-style
+//!   micro-kernel generation.
+//! * **x86_64** without AVX2 — SSE2 intrinsics (baseline on x86_64). The
+//!   fused path (`_mm_fmadd_ps`) additionally requires the FMA extension,
+//!   probed the same way and compiled under
+//!   `#[target_feature(enable = "fma")]`.
 //! * **scalar** — a `[f32; 4]` array fallback for every other
 //!   architecture, and for any architecture when the `force-scalar`
 //!   cargo feature is on (CI builds it so the fallback cannot rot). It
@@ -23,22 +31,23 @@
 //! ## Alignment contract
 //!
 //! Loads and stores use the unaligned-tolerant instructions
-//! (`_mm_loadu_ps`, `vld1q_f32`), so correctness never depends on
-//! alignment; packed panels are nevertheless 64-byte aligned by
-//! [`crate::packing::AlignedVec`] so vector loads of panel rows never
+//! (`_mm_loadu_ps`, `_mm256_loadu_ps`, `vld1q_f32`), so correctness never
+//! depends on alignment; packed panels are nevertheless 64-byte aligned
+//! by [`crate::packing::AlignedVec`] so vector loads of panel rows never
 //! split a cache line at the panel base (asserted in debug builds).
 
 #![allow(clippy::missing_safety_doc)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Lanes per vector register — the paper's NEON `σ_lane`.
+/// Lanes of an [`F32x4`] — the paper's NEON `σ_lane`, and the width of
+/// the 4-lane vector columns kernels and packing are laid out in.
 pub const LANES: usize = 4;
 
 /// Vector registers the native micro-kernels can keep live at once on
 /// the compile target: the 32 NEON `v` registers on aarch64, the 16
-/// XMM registers the SSE2/FMA kernels are encoded for on x86_64 (no
-/// AVX-512 encoding, so `xmm16`–`xmm31` are out of reach), and 16 on
+/// XMM/YMM registers the SSE2/FMA/AVX2 kernels are encoded for on x86_64
+/// (no AVX-512 encoding, so registers 16–31 are out of reach), and 16 on
 /// every other target — the least a 128-bit vector unit offers, so the
 /// portable fallback never plans a tile that is sure to spill.
 pub const REGISTER_BUDGET: usize = if cfg!(target_arch = "aarch64") { 32 } else { 16 };
@@ -49,6 +58,8 @@ pub const REGISTER_BUDGET: usize = if cfg!(target_arch = "aarch64") { 32 } else 
 pub enum SimdBackend {
     /// aarch64 NEON: `vfmaq_f32` main loop (always fused).
     Neon,
+    /// x86_64 with AVX2 and FMA: 256-bit `_mm256_fmadd_ps` main loop.
+    X86Avx2,
     /// x86_64 with the FMA extension: `_mm_fmadd_ps` main loop.
     X86Fma,
     /// x86_64 baseline: SSE2 `_mm_mul_ps` + `_mm_add_ps` (not fused).
@@ -84,7 +95,10 @@ impl SimdBackend {
 
     #[cfg(simd_x86)]
     fn probe() -> SimdBackend {
-        if std::arch::is_x86_feature_detected!("fma") {
+        if std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx2")
+        {
+            SimdBackend::X86Avx2
+        } else if std::arch::is_x86_feature_detected!("fma") {
             SimdBackend::X86Fma
         } else {
             SimdBackend::X86Sse2
@@ -94,6 +108,7 @@ impl SimdBackend {
     fn from_u8(v: u8) -> SimdBackend {
         match v {
             x if x == SimdBackend::Neon as u8 => SimdBackend::Neon,
+            x if x == SimdBackend::X86Avx2 as u8 => SimdBackend::X86Avx2,
             x if x == SimdBackend::X86Fma as u8 => SimdBackend::X86Fma,
             x if x == SimdBackend::X86Sse2 as u8 => SimdBackend::X86Sse2,
             _ => SimdBackend::Scalar,
@@ -108,10 +123,21 @@ impl SimdBackend {
         !matches!(self, SimdBackend::X86Sse2)
     }
 
+    /// `f32` lanes of the widest vector the backend's kernels use: 8 on
+    /// [`SimdBackend::X86Avx2`], [`LANES`] elsewhere.
+    pub fn lanes(self) -> usize {
+        if self == SimdBackend::X86Avx2 {
+            8
+        } else {
+            LANES
+        }
+    }
+
     /// Stable name for bench artifacts and logs.
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Neon => "neon",
+            SimdBackend::X86Avx2 => "x86_avx2",
             SimdBackend::X86Fma => "x86_fma",
             SimdBackend::X86Sse2 => "x86_sse2",
             SimdBackend::Scalar => "scalar",
@@ -279,7 +305,7 @@ impl F32x4 {
         F32x4(arch::_mm_fmadd_ps(a.0, b.0, self.0))
     }
 
-    /// Copy the lanes out to an array (edge-tile scalar stores).
+    /// Copy the lanes out to an array.
     #[inline(always)]
     pub fn to_array(self) -> [f32; LANES] {
         let mut out = [0.0f32; LANES];
@@ -288,11 +314,109 @@ impl F32x4 {
         out
     }
 
-    /// Build a vector from an array (edge-tile scalar loads).
+    /// Build a vector from an array.
     #[inline(always)]
     pub fn from_array(v: [f32; LANES]) -> F32x4 {
         // SAFETY: `v` has exactly LANES readable f32s.
         unsafe { F32x4::load(v.as_ptr()) }
+    }
+}
+
+/// A vector of `f32` lanes, as the one generic micro-kernel body
+/// ([`crate::kernels`]) uses it for its accumulator columns: [`F32x4`] on
+/// every backend, [`F32x8`] on [`SimdBackend::X86Avx2`].
+///
+/// # Safety
+/// Every method may use instructions beyond the compile target's
+/// baseline: for [`F32x8`] the caller must sit (after inlining) inside a
+/// `#[target_feature(enable = "avx2,fma")]` region on a host that has
+/// both. Pointer methods need `Self::LANES` valid `f32`s at `ptr`.
+pub(crate) trait Lanes: Copy {
+    /// `f32` lanes per vector.
+    const LANES: usize;
+    /// Broadcast `v` to every lane.
+    unsafe fn splat(v: f32) -> Self;
+    /// Load `Self::LANES` lanes from `ptr` (unaligned tolerated).
+    unsafe fn load(ptr: *const f32) -> Self;
+    /// Store `Self::LANES` lanes to `ptr` (unaligned tolerated).
+    unsafe fn store(self, ptr: *mut f32);
+    /// The low four lanes (a free register view on [`F32x8`]): the
+    /// 128-bit tail column reuses the wide A broadcast through it.
+    unsafe fn low(self) -> F32x4;
+    /// `self + a*b`, rounded once when `FMA` is set (the caller must then
+    /// be inside an FMA target-feature region) or when the baseline
+    /// multiply-accumulate is already fused.
+    unsafe fn fmadd<const FMA: bool>(self, a: Self, b: Self) -> Self;
+}
+
+impl Lanes for F32x4 {
+    const LANES: usize = LANES;
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> F32x4 {
+        F32x4::splat(v)
+    }
+
+    #[inline(always)]
+    unsafe fn load(ptr: *const f32) -> F32x4 {
+        F32x4::load(ptr)
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, ptr: *mut f32) {
+        F32x4::store(self, ptr)
+    }
+
+    #[inline(always)]
+    unsafe fn low(self) -> F32x4 {
+        self
+    }
+
+    #[inline(always)]
+    unsafe fn fmadd<const FMA: bool>(self, a: F32x4, b: F32x4) -> F32x4 {
+        #[cfg(simd_x86)]
+        if FMA {
+            return self.mul_acc_fma(a, b);
+        }
+        self.mul_acc(a, b)
+    }
+}
+
+/// Eight `f32` lanes in one 256-bit AVX `YMM` register — the wide
+/// accumulator column of the [`SimdBackend::X86Avx2`] kernels. Only used
+/// inside their `avx2,fma` target-feature region (see [`Lanes`]); its
+/// multiply-accumulate is always fused.
+#[cfg(simd_x86)]
+#[derive(Clone, Copy)]
+pub(crate) struct F32x8(arch::__m256);
+
+#[cfg(simd_x86)]
+impl Lanes for F32x8 {
+    const LANES: usize = 8;
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> F32x8 {
+        F32x8(arch::_mm256_set1_ps(v))
+    }
+
+    #[inline(always)]
+    unsafe fn load(ptr: *const f32) -> F32x8 {
+        F32x8(arch::_mm256_loadu_ps(ptr))
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, ptr: *mut f32) {
+        arch::_mm256_storeu_ps(ptr, self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn low(self) -> F32x4 {
+        F32x4(arch::_mm256_castps256_ps128(self.0))
+    }
+
+    #[inline(always)]
+    unsafe fn fmadd<const FMA: bool>(self, a: F32x8, b: F32x8) -> F32x8 {
+        F32x8(arch::_mm256_fmadd_ps(a.0, b.0, self.0))
     }
 }
 
@@ -349,13 +473,14 @@ mod tests {
         #[cfg(simd_neon)]
         assert_eq!(b, SimdBackend::Neon);
         #[cfg(simd_x86)]
-        assert!(matches!(b, SimdBackend::X86Fma | SimdBackend::X86Sse2));
+        assert!(matches!(b, SimdBackend::X86Avx2 | SimdBackend::X86Fma | SimdBackend::X86Sse2));
+        assert_eq!(b.lanes(), if b == SimdBackend::X86Avx2 { 8 } else { LANES });
     }
 
     #[cfg(simd_x86)]
     #[test]
     fn fma_path_matches_mul_acc_when_available() {
-        if SimdBackend::detect() != SimdBackend::X86Fma {
+        if !matches!(SimdBackend::detect(), SimdBackend::X86Avx2 | SimdBackend::X86Fma) {
             return;
         }
         #[target_feature(enable = "fma")]
@@ -368,5 +493,26 @@ mod tests {
         // Products here are exact, so fused and unfused agree bitwise.
         let got = unsafe { fused(acc, a, b) };
         assert_eq!(got.to_array(), acc.mul_acc(a, b).to_array());
+    }
+
+    #[cfg(simd_x86)]
+    #[test]
+    fn avx2_lanes_roundtrip_and_fuse_when_available() {
+        if SimdBackend::detect() != SimdBackend::X86Avx2 {
+            return;
+        }
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn run(x: &[f32; 8], y: &[f32; 8], out: &mut [f32; 8]) {
+            let acc = F32x8::splat(1.0);
+            acc.fmadd::<true>(F32x8::load(x.as_ptr()), F32x8::load(y.as_ptr()))
+                .store(out.as_mut_ptr());
+        }
+        let x = [1.5f32, 2.5, -3.0, 4.0, 0.5, -1.0, 8.0, 0.25];
+        let y = [2.0f32, -1.0, 0.5, 3.0, 4.0, 6.0, -0.5, 16.0];
+        let mut out = [0.0f32; 8];
+        // SAFETY: the probe above confirmed AVX2 and FMA.
+        unsafe { run(&x, &y, &mut out) };
+        let want: Vec<f32> = x.iter().zip(&y).map(|(a, b)| a.mul_add(*b, 1.0)).collect();
+        assert_eq!(out.to_vec(), want);
     }
 }

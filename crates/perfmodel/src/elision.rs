@@ -53,7 +53,8 @@ pub struct PackRouting {
 
 /// The SIMD lane width the generated kernels are built on (σ_lane = 4
 /// f32 lanes on every backend: NEON, SSE2/FMA and the portable
-/// fallback). B panels are padded to this width when packed.
+/// fallback; AVX2 pairs these columns into 8-lane vectors). B panels
+/// are padded to this width when packed.
 pub const SIGMA_LANE: usize = 4;
 
 /// Decide packed/unpacked routing per operand from the problem shape and

@@ -27,7 +27,7 @@ pub fn region_cycles(
     chip: &ChipSpec,
     opts: ModelOpts,
 ) -> f64 {
-    region_cycles_with(m, n, tile, kc, chip, opts, projected_cycles)
+    region_cycles_with(m, n, tile, kc, chip.sigma_lane(), |t| projected_cycles(t, kc, chip, opts))
 }
 
 /// [`region_cycles`] with the `σ_AI` derating applied per kernel — the
@@ -40,7 +40,7 @@ pub fn region_cycles_derated(
     chip: &ChipSpec,
     opts: ModelOpts,
 ) -> f64 {
-    region_cycles_with(m, n, tile, kc, chip, opts, effective_cycles)
+    region_cycles_with(m, n, tile, kc, chip.sigma_lane(), |t| effective_cycles(t, kc, chip, opts))
 }
 
 fn region_cycles_with(
@@ -48,14 +48,12 @@ fn region_cycles_with(
     n: usize,
     tile: MicroTile,
     kc: usize,
-    chip: &ChipSpec,
-    opts: ModelOpts,
-    cost: fn(MicroTile, usize, &ChipSpec, ModelOpts) -> f64,
+    sigma: usize,
+    cost: impl Fn(MicroTile) -> f64,
 ) -> f64 {
     if m == 0 || n == 0 || kc == 0 {
         return 0.0;
     }
-    let sigma = chip.sigma_lane();
     let full_rows = m / tile.mr;
     let rem_rows = m % tile.mr;
     let full_cols = n / tile.nr;
@@ -65,20 +63,72 @@ fn region_cycles_with(
     let rem_nr = rem_cols_elems.div_ceil(sigma) * sigma;
 
     let mut total = 0.0;
-    let t_full = cost(tile, kc, chip, opts);
+    let t_full = cost(tile);
     total += (full_rows * full_cols) as f64 * t_full;
     if rem_cols_elems > 0 {
-        let t = cost(MicroTile::new(tile.mr, rem_nr), kc, chip, opts);
+        let t = cost(MicroTile::new(tile.mr, rem_nr));
         total += full_rows as f64 * t;
     }
     if rem_rows > 0 {
-        let t = cost(MicroTile::new(rem_rows, tile.nr), kc, chip, opts);
+        let t = cost(MicroTile::new(rem_rows, tile.nr));
         total += full_cols as f64 * t;
     }
     if rem_rows > 0 && rem_cols_elems > 0 {
-        total += cost(MicroTile::new(rem_rows, rem_nr), kc, chip, opts);
+        total += cost(MicroTile::new(rem_rows, rem_nr));
     }
     total
+}
+
+/// [`effective_cycles`] at one `k_c` of every tile a menu shape shrinks
+/// to (`r ≤ m_r` rows, `c·σ_lane ≤ n_r` columns), computed once — the
+/// cost table DMT prices its quadrant covers from. Every remainder tile
+/// [`region_cycles_derated`] charges is such a shrink, so
+/// [`TileCycles::region`] equals it bit for bit without re-evaluating
+/// the cycle model per region.
+#[derive(Debug, Clone)]
+pub struct TileCycles {
+    kc: usize,
+    sigma: usize,
+    cols: usize,
+    cycles: Vec<f64>,
+}
+
+impl TileCycles {
+    /// Tabulate the tiles `shapes` and their remainders can use. Every
+    /// shape's `n_r` must be a multiple of the chip's `σ_lane`.
+    pub fn new(shapes: &[MicroTile], kc: usize, chip: &ChipSpec, opts: ModelOpts) -> TileCycles {
+        let sigma = chip.sigma_lane();
+        let rows = shapes.iter().map(|t| t.mr).max().unwrap_or(0);
+        let cols = shapes.iter().map(|t| t.nr / sigma).max().unwrap_or(0);
+        // Tiles no menu shape shrinks to may be infeasible for the model,
+        // and no cover charges them: leave them unpriced.
+        let reachable = |r: usize, c: usize| shapes.iter().any(|t| t.mr >= r && t.nr >= c * sigma);
+        let cycles = (1..=rows)
+            .flat_map(|r| (1..=cols).map(move |c| (r, c)))
+            .map(|(r, c)| {
+                if reachable(r, c) {
+                    effective_cycles(MicroTile::new(r, c * sigma), kc, chip, opts)
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
+        TileCycles { kc, sigma, cols, cycles }
+    }
+
+    /// [`effective_cycles`] of `tile`, which must be a shrink of a menu
+    /// shape (NaN for an unpriced tile inside the table's bounds).
+    #[inline]
+    pub fn tile(&self, tile: MicroTile) -> f64 {
+        debug_assert!(tile.nr.is_multiple_of(self.sigma) && tile.nr / self.sigma <= self.cols);
+        self.cycles[(tile.mr - 1) * self.cols + tile.nr / self.sigma - 1]
+    }
+
+    /// [`region_cycles_derated`] of an `m × n` region covered by `tile`,
+    /// priced from the table.
+    pub fn region(&self, m: usize, n: usize, tile: MicroTile) -> f64 {
+        region_cycles_with(m, n, tile, self.kc, self.sigma, |t| self.tile(t))
+    }
 }
 
 /// Eqn 13: total projected cycles of a DMT-split sub-matrix

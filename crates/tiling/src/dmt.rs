@@ -16,8 +16,7 @@
 use crate::plan::{grid_region, Strategy, TilePlacement, TilePlan};
 use autogemm_arch::ChipSpec;
 use autogemm_kernelgen::MicroTile;
-use autogemm_perfmodel::micro::effective_cycles;
-use autogemm_perfmodel::submatrix::region_cycles_derated;
+use autogemm_perfmodel::submatrix::TileCycles;
 use autogemm_perfmodel::ModelOpts;
 
 /// How a quadrant is tiled.
@@ -30,41 +29,34 @@ enum QuadrantCover {
 }
 
 /// The per-quadrant cost function `T(m, n)` of Algorithm 1 (lines 11-16):
-/// minimize over Table II shapes. Exact covers use
+/// minimize over the menu's shapes. Exact covers use
 /// `(m/m_r)·(n/n_r)·T_r(m_r, n_r)`; ragged covers fall back to
-/// [`region_cycles`] with a 5% penalty so exact covers win ties.
+/// [`region_cycles_derated`](autogemm_perfmodel::submatrix::region_cycles_derated)
+/// with a 5% penalty so exact covers win ties. Both are priced from the
+/// call's [`TileCycles`] table.
 fn quadrant_cost(
     m: usize,
     n: usize,
-    kc: usize,
-    chip: &ChipSpec,
-    opts: ModelOpts,
+    sigma: usize,
+    costs: &TileCycles,
     shapes: &[MicroTile],
-) -> Option<(f64, QuadrantCover)> {
+) -> (f64, QuadrantCover) {
     if m == 0 || n == 0 {
-        return Some((0.0, QuadrantCover::Exact(MicroTile::new(1, chip.sigma_lane()))));
+        return (0.0, QuadrantCover::Exact(MicroTile::new(1, sigma)));
     }
     let mut best: Option<(f64, QuadrantCover)> = None;
     for &tile in shapes {
-        let cost = if m.is_multiple_of(tile.mr) && n.is_multiple_of(tile.nr) {
+        let (c, cover) = if m.is_multiple_of(tile.mr) && n.is_multiple_of(tile.nr) {
             let count = (m / tile.mr) * (n / tile.nr);
-            Some((
-                count as f64 * effective_cycles(tile, kc, chip, opts),
-                QuadrantCover::Exact(tile),
-            ))
+            (count as f64 * costs.tile(tile), QuadrantCover::Exact(tile))
         } else {
-            Some((
-                region_cycles_derated(m, n, tile, kc, chip, opts) * 1.05,
-                QuadrantCover::Ragged(tile),
-            ))
+            (costs.region(m, n, tile) * 1.05, QuadrantCover::Ragged(tile))
         };
-        if let Some((c, cover)) = cost {
-            if best.is_none_or(|(b, _)| c < b) {
-                best = Some((c, cover));
-            }
+        if best.is_none_or(|(b, _)| c < b) {
+            best = Some((c, cover));
         }
     }
-    best
+    best.expect("non-empty menu")
 }
 
 fn emit_quadrant(
@@ -116,19 +108,17 @@ pub fn plan_dmt(
     let sigma = chip.sigma_lane();
     assert!(!shapes.is_empty(), "DMT needs a non-empty tile menu");
 
-    // Memoized quadrant costs, keyed by the exact (m', n') extent: when N
-    // is not a lane multiple, the n_back widths are not lane-aligned, so a
-    // lane-bucketed index would collide distinct widths.
-    let mut memo: std::collections::HashMap<(usize, usize), (f64, QuadrantCover)> =
-        std::collections::HashMap::new();
-    let cost_of =
-        |mm: usize,
-         nn: usize,
-         memo: &mut std::collections::HashMap<(usize, usize), (f64, QuadrantCover)>| {
-            *memo
-                .entry((mm, nn))
-                .or_insert_with(|| quadrant_cost(mm, nn, kc, chip, opts, shapes).unwrap())
-        };
+    // Every tile a cover can charge, priced once for this call.
+    let costs = TileCycles::new(shapes, kc, chip, opts);
+    // Memoized quadrant costs, one dense slot per (m', n') extent. Every
+    // n' is n_front (a lane multiple) or n - n_front, so n' / σ and
+    // whether n' is a lane multiple identify it even when n is not.
+    let lane_cols = n / sigma + 1;
+    let mut memo: Vec<Option<(f64, QuadrantCover)>> = vec![None; (m + 1) * lane_cols * 2];
+    let mut cost_of = |mm: usize, nn: usize| {
+        let slot = (mm * lane_cols + nn / sigma) * 2 + usize::from(!nn.is_multiple_of(sigma));
+        *memo[slot].get_or_insert_with(|| quadrant_cost(mm, nn, sigma, &costs, shapes))
+    };
 
     // The objective separates: for a fixed n_front, the best m_front_up
     // and m_back_up are independent, so the O(n·m²) triple loop of the
@@ -141,13 +131,13 @@ pub fn plan_dmt(
         let mut best_front = (f64::INFINITY, 0usize);
         let mut best_back = (f64::INFINITY, 0usize);
         for m_up in 0..=m {
-            let (c_fu, _) = cost_of(m_up, n_front, &mut memo);
-            let (c_fd, _) = cost_of(m - m_up, n_front, &mut memo);
+            let (c_fu, _) = cost_of(m_up, n_front);
+            let (c_fd, _) = cost_of(m - m_up, n_front);
             if c_fu + c_fd < best_front.0 {
                 best_front = (c_fu + c_fd, m_up);
             }
-            let (c_bu, _) = cost_of(m_up, n_back, &mut memo);
-            let (c_bd, _) = cost_of(m - m_up, n_back, &mut memo);
+            let (c_bu, _) = cost_of(m_up, n_back);
+            let (c_bd, _) = cost_of(m - m_up, n_back);
             if c_bu + c_bd < best_back.0 {
                 best_back = (c_bu + c_bd, m_up);
             }
@@ -162,10 +152,10 @@ pub fn plan_dmt(
     let (n_front, m_front_up, m_back_up) = best_split;
     let n_back = n - n_front;
     let mut placements = Vec::new();
-    let (_, cover_fu) = cost_of(m_front_up, n_front, &mut memo);
-    let (_, cover_fd) = cost_of(m - m_front_up, n_front, &mut memo);
-    let (_, cover_bu) = cost_of(m_back_up, n_back, &mut memo);
-    let (_, cover_bd) = cost_of(m - m_back_up, n_back, &mut memo);
+    let (_, cover_fu) = cost_of(m_front_up, n_front);
+    let (_, cover_fd) = cost_of(m - m_front_up, n_front);
+    let (_, cover_bu) = cost_of(m_back_up, n_back);
+    let (_, cover_bd) = cost_of(m - m_back_up, n_back);
     emit_quadrant(0, 0, m_front_up, n_front, cover_fu, sigma, &mut placements);
     emit_quadrant(m_front_up, 0, m - m_front_up, n_front, cover_fd, sigma, &mut placements);
     emit_quadrant(0, n_front, m_back_up, n_back, cover_bu, sigma, &mut placements);

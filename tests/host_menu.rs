@@ -4,7 +4,7 @@
 //! the engine's plan cache, its block-simulation memo or the tuner's
 //! block-cost memo.
 
-use autogemm::native::{host_menu, live_registers, KERNEL_MENU};
+use autogemm::native::{host_menu, host_menu_for, live_registers, KERNEL_MENU};
 use autogemm::simd::{SimdBackend, REGISTER_BUDGET};
 use autogemm::{AutoGemm, ExecutionPlan, GemmOptions};
 use autogemm_arch::ChipSpec;
@@ -46,37 +46,54 @@ fn shapes(menu: &[MicroTile]) -> Vec<(usize, usize)> {
     s
 }
 
+/// The 24 shapes that fit 16 registers with 4-lane vector columns.
+const X86_4_LANE_MENU: [(usize, usize); 24] = [
+    (1, 4),
+    (1, 8),
+    (1, 12),
+    (1, 16),
+    (1, 20),
+    (1, 24),
+    (1, 28),
+    (2, 4),
+    (2, 8),
+    (2, 12),
+    (2, 16),
+    (2, 20),
+    (3, 4),
+    (3, 8),
+    (3, 12),
+    (4, 4),
+    (4, 8),
+    (4, 12),
+    (5, 4),
+    (5, 8),
+    (6, 4),
+    (6, 8),
+    (7, 4),
+    (8, 4),
+];
+
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn x86_host_menu_is_the_24_shapes_that_fit_16_registers() {
+    // With 4-lane columns (SSE2/FMA hosts): c = n_r/4 vectors per B row.
     assert_eq!(REGISTER_BUDGET, 16);
-    let want = vec![
-        (1, 4),
-        (1, 8),
-        (1, 12),
-        (1, 16),
-        (1, 20),
-        (1, 24),
-        (1, 28),
-        (2, 4),
-        (2, 8),
-        (2, 12),
-        (2, 16),
-        (2, 20),
-        (3, 4),
-        (3, 8),
-        (3, 12),
-        (4, 4),
-        (4, 8),
-        (4, 12),
-        (5, 4),
-        (5, 8),
-        (6, 4),
-        (6, 8),
-        (7, 4),
-        (8, 4),
-    ];
-    assert_eq!(shapes(&host_menu(4)), want);
+    assert_eq!(shapes(&host_menu_for(4, 4)), X86_4_LANE_MENU);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn x86_8_lane_host_menu_is_every_kernel_but_3x28_and_7x12() {
+    // With 8-lane columns, c = ⌈n_r/8⌉ vectors per B row: 3×28 needs
+    // 3·4 + 4 + 1 = 17 registers and 7×12 needs 7·2 + 2 + 1 = 17.
+    assert_eq!(REGISTER_BUDGET, 16);
+    let mut want: Vec<(usize, usize)> =
+        KERNEL_MENU.iter().copied().filter(|&s| s != (3, 28) && s != (7, 12)).collect();
+    want.sort_unstable();
+    assert_eq!(want.len(), 36);
+    assert_eq!(shapes(&host_menu_for(4, 8)), want);
+    assert!(X86_4_LANE_MENU.iter().all(|s| want.contains(s)), "wider lanes dropped a tile");
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -89,18 +106,52 @@ fn aarch64_host_menu_is_the_whole_kernel_menu() {
 }
 
 #[test]
+fn host_menu_follows_the_detected_lane_count() {
+    let lanes = SimdBackend::detect().lanes();
+    for sigma in [4, 16] {
+        assert_eq!(host_menu(sigma), host_menu_for(sigma, lanes), "σ_lane {sigma}");
+    }
+}
+
+#[test]
+fn host_menus_are_closed_under_shrinking() {
+    // DMT's LIBXSMM-style edge tiles shrink a menu shape's rows and lane
+    // columns; every such tile must stay on the menu.
+    for lanes in [4, 8] {
+        for sigma in [4, 16] {
+            let menu = host_menu_for(sigma, lanes);
+            for t in &menu {
+                for mr in 1..=t.mr {
+                    for nr in (sigma..=t.nr).step_by(sigma) {
+                        assert!(
+                            menu.contains(&MicroTile::new(mr, nr)),
+                            "{lanes} lanes, σ_lane {sigma}: {t} shrinks to {mr}x{nr}, off the menu"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn host_menu_is_register_feasible_and_nonempty_for_every_paper_chip() {
+    let lanes = SimdBackend::detect().lanes();
     for chip in ChipSpec::all_evaluated() {
         let sigma = chip.sigma_lane();
         let menu = host_menu(sigma);
         assert!(!menu.is_empty(), "{}: empty host menu", chip.id);
         for t in &menu {
             assert!(KERNEL_MENU.contains(&(t.mr, t.nr)), "{}: {t} is off the kernel menu", chip.id);
-            assert!(live_registers(t.mr, t.nr) <= REGISTER_BUDGET, "{}: {t} spills", chip.id);
+            assert!(
+                live_registers(t.mr, t.nr, lanes) <= REGISTER_BUDGET,
+                "{}: {t} spills",
+                chip.id
+            );
             assert_eq!(t.nr % sigma, 0, "{}: {t} is not a σ_lane multiple", chip.id);
         }
     }
-    // A 16-lane planning chip on a 4-lane backend keeps only the
+    // A 16-lane planning chip on a 4- or 8-lane backend keeps only the
     // 16-wide menu kernels that fit the register budget.
     let a64fx = shapes(&host_menu(16));
     assert!(a64fx.iter().all(|&(_, nr)| nr == 16), "{a64fx:?}");

@@ -1,8 +1,10 @@
 //! Property-based invariants of the tiling strategies and the tuner, run
 //! across randomized shapes (the corner cases Fig 5/7 can't enumerate).
 
+use autogemm::native::host_menu_for;
 use autogemm_arch::ChipSpec;
 use autogemm_kernelgen::{tiles, MicroTile};
+use autogemm_perfmodel::submatrix::{region_cycles_derated, TileCycles};
 use autogemm_perfmodel::ModelOpts;
 use autogemm_tiling::{plan_dmt, plan_libxsmm, plan_openblas, TilePlan};
 use proptest::prelude::*;
@@ -86,5 +88,33 @@ fn sve_plans_cover_with_16_lane_tiles() {
     for (m, n) in [(8, 16), (24, 64), (13, 48)] {
         let plan = plan_t2(m, n, 32, &chip);
         plan.validate(16).unwrap_or_else(|e| panic!("{m}x{n}: {e}"));
+    }
+}
+
+/// DMT prices quadrant covers from a per-call [`TileCycles`] table; its
+/// region cost must equal the model's `region_cycles_derated` bit for
+/// bit, or DMT's choices (and every simulator figure) could move.
+#[test]
+fn table_priced_region_cost_is_bit_identical_to_the_model() {
+    let chip = ChipSpec::graviton2();
+    let sigma = chip.sigma_lane();
+    let menus = [tiles::table_menu(sigma), host_menu_for(sigma, 4), host_menu_for(sigma, 8)];
+    for kc in [1, 7, 64, 256] {
+        for menu in &menus {
+            let table = TileCycles::new(menu, kc, &chip, opts());
+            for &tile in menu {
+                for m in 0..=64 {
+                    for n in 0..=128 {
+                        let want = region_cycles_derated(m, n, tile, kc, &chip, opts());
+                        let got = table.region(m, n, tile);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{tile} over {m}x{n}, kc {kc}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
